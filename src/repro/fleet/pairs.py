@@ -169,7 +169,8 @@ def _guided_pair_rounds(
     scoped to a single device pair and its single package: the bandit's
     arms are the pair's campaigns, blocks run back-to-back on the pair's
     own device session (blocking inside one scheduler step -- pairs are
-    independent, so coarse interleaving is harmless), and the generator
+    independent, so coarse interleaving is harmless, and no other pair
+    runs inside a block's telemetry ``component`` span), and the generator
     yields at round boundaries so the fleet scheduler can switch pairs.
     Everything seeds from the spec, so guided fleets keep the packing
     invariance.  Returns the outcome-label totals (plus ``"sent"``).
@@ -184,7 +185,7 @@ def _guided_pair_rounds(
 
     guided = spec.guided
     assert guided is not None
-    device = fuzzer._device
+    device = fuzzer.device
     package = device.packages.get_package(package_name)
     if package is None:
         raise ValueError(f"package not installed: {package_name}")

@@ -159,7 +159,7 @@ def run_guided_blocks(
     study's campaign order.  A reboot aborts the remaining blocks (the
     session to the device is lost, as in the paper's harness).
     """
-    device = fuzzer._device
+    device = fuzzer.device
     package = device.packages.get_package(task.package)
     if package is None:
         raise ValueError(f"package not installed: {task.package}")
@@ -228,13 +228,13 @@ def run_guided_blocks(
         for info, share in zip(components, _split_budget(block.budget, len(components))):
             if share == 0:
                 continue
-            result = fuzzer.fuzz_intent_stream(
+            result = fuzzer.fuzz_component(
                 info,
                 campaign,
-                _arm_stream(
+                config,
+                intents=_arm_stream(
                     campaign, info, share, rng, pool, task.pool_rate, grammar_seed, skip
                 ),
-                config,
                 observer=observe,
             )
             outcome.sent += result.sent

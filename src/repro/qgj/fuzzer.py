@@ -96,11 +96,25 @@ _INTENTS_SITE = CounterSite(
     ("campaign", "package", "outcome"),
 )
 
-#: Attribute keys of the inline leaf-ring entry (see
-#: ``_fuzz_component_instrumented``): one shared tuple instead of a fresh
-#: two-key dict per injection.  Order matters -- materialized spans must
-#: carry ``{"seq": ..., "outcome": ...}`` exactly as ``record_leaf`` would.
+#: Attribute keys of the inline leaf-ring entry (see :func:`_recording`):
+#: one shared tuple instead of a fresh two-key dict per injection.  Order
+#: matters -- materialized spans must carry ``{"seq": ..., "outcome": ...}``
+#: exactly as ``record_leaf`` would.
 _LEAF_KEYS = ("seq", "outcome")
+
+#: One injection, shaped like :meth:`FuzzerLibrary._inject`.
+InjectStep = Callable[
+    [ComponentInfo, FuzzIntent, ComponentRunResult],
+    Tuple[str, Optional[DispatchResult]],
+]
+#: Sees every injection as ``(info, intent, outcome, dispatch)``.
+Observer = Callable[[ComponentInfo, FuzzIntent, str, Optional[DispatchResult]], None]
+
+
+def _grammar(info: ComponentInfo, campaign: Campaign, config: FuzzConfig):
+    """The campaign's intents for one component at *config*'s seed and stride."""
+    stride = config.stride_for(campaign)
+    return generate(campaign, seed=config.seed, component=info.name, stride=stride)
 
 
 def _profiled_generation(iterable, profiler):
@@ -122,6 +136,126 @@ def _profiled_generation(iterable, profiler):
         finally:
             leave()
         yield item
+
+
+def _profiled_dispatch(inject: InjectStep, profiler) -> InjectStep:
+    """Charge the time spent inside *inject* to ``dispatch``."""
+    enter = profiler.enter
+    leave = profiler.exit
+
+    def step(info, fuzz_intent, result):
+        enter("dispatch")
+        try:
+            return inject(info, fuzz_intent, result)
+        finally:
+            leave()
+
+    return step
+
+
+def _observed(inject: InjectStep, observer: Observer) -> InjectStep:
+    """Hand every injection of *inject* to *observer* after it returns."""
+
+    def step(info, fuzz_intent, result):
+        outcome, dispatch = inject(info, fuzz_intent, result)
+        observer(info, fuzz_intent, outcome, dispatch)
+        return outcome, dispatch
+
+    return step
+
+
+@contextlib.contextmanager
+def _recording(t, clock, info, campaign, config, result, inject: InjectStep):
+    """Yield *inject* wrapped in the telemetry one component run records.
+
+    Everything resolvable is hoisted out of the step -- the metric family
+    (registered up front so its TYPE/HELP lines appear even for a component
+    that sends nothing), the per-outcome bound handles, the leaf-ring
+    state -- and the recording is written *inline*: at ~100k injections/s a
+    method call costs more than the record it would make.  The step is the
+    one inline client of the tracer's leaf ring, and
+    ``tests/telemetry/test_trace.py`` asserts its tuple materializes
+    exactly what :meth:`Tracer.record_leaf` records.  Under sampling it
+    calls ``record_leaf`` itself.
+
+    Heartbeat ticks and ring appends are settled from ``result.sent``
+    (fresh, and ``_inject`` adds one per call), not counted per injection:
+    the heartbeat at the first step after each batch pause, so snapshots
+    read the clock after the pause, and at exit; the ring appends at exit.
+    """
+    tracer = t.tracer
+    metrics = t.metrics
+    heartbeat = t.progress
+    _INTENTS_SITE.family(metrics)
+    heartbeat.count_injections(0)  # pin the rate baseline to campaign start
+    handles: dict = {}
+    labels = (campaign.value, info.package)
+    sampling = tracer.sample_every != 1
+    record_leaf = tracer.record_leaf
+    finished_append = tracer._finished.append
+    next_id = tracer._ids.__next__
+    perf_counter = time.perf_counter
+    # Leaf spans never push, so the injections' parent (the open component
+    # span) is a constant for the whole run.
+    stack = tracer._stack
+    parent_id = stack[-1].span_id if stack else None
+    batch_size = config.batch_size
+    next_batch = batch_size
+
+    def step(info, fuzz_intent, result):
+        nonlocal next_batch
+        if result.sent == next_batch:
+            heartbeat.count_injections(batch_size)
+            next_batch += batch_size
+        start_wall = perf_counter()
+        start_virtual = clock._now_ms
+        outcome, dispatch = inject(info, fuzz_intent, result)
+        end_wall = perf_counter()
+        if sampling:
+            record_leaf(
+                "injection",
+                {"seq": result.sent, "outcome": outcome},
+                start_wall,
+                end_wall,
+                start_virtual,
+                clock._now_ms,
+            )
+        else:
+            # Inline Tracer.record_leaf: one flat ring entry, attribute
+            # values trailing the shared key tuple.
+            finished_append(
+                (
+                    next_id(),
+                    parent_id,
+                    "injection",
+                    _LEAF_KEYS,
+                    start_wall,
+                    end_wall,
+                    start_virtual,
+                    clock._now_ms,
+                    result.sent,
+                    outcome,
+                )
+            )
+        # Direct slot store: BoundCounter.inc(1) without the call.  A
+        # handful of outcomes over thousands of injections makes try/except
+        # cheaper than .get().
+        try:
+            handles[outcome].pending += 1
+        except KeyError:
+            handles[outcome] = handle = _INTENTS_SITE.bind(metrics, labels + (outcome,))
+            handle.pending += 1
+        return outcome, dispatch
+
+    try:
+        yield step
+    finally:
+        sent = result.sent
+        settled = next_batch - batch_size
+        if sent != settled:
+            heartbeat.count_injections(sent - settled)
+        if not sampling:
+            tracer._appended += sent
 
 
 #: Quick scale: every component still sees every action and every corruption
@@ -170,84 +304,58 @@ class FuzzerLibrary:
         info: ComponentInfo,
         campaign: Campaign,
         config: FuzzConfig = QUICK_CONFIG,
+        intents: Optional[Iterable[FuzzIntent]] = None,
+        observer: Optional[Observer] = None,
     ) -> ComponentRunResult:
-        """Run *campaign* against one component."""
+        """Run *campaign* against one component: the blocking driver.
+
+        Drives :meth:`fuzz_component_coop`, advancing the device clock to
+        each yielded deadline at once -- exactly what ``clock.sleep`` would
+        have done inline -- so a fleet pair on the same generator replays a
+        blocking run's timeline.  *intents* replaces the campaign grammar
+        (the guided engine's stream); *observer* sees every injection as
+        ``(info, intent, outcome, dispatch)``, so callers can fingerprint
+        behaviours without re-entering the dispatch path.  With telemetry
+        enabled the run is a ``component`` span and every injection goes
+        through :func:`_recording`; ``--profile`` adds the ``generate`` and
+        ``dispatch`` phase brackets.
+        """
         result = ComponentRunResult(
             component=info.name.flatten_to_string(),
             kind=info.kind,
             campaign=campaign,
         )
-        t = self._device.runtime.telemetry
-        if not t.enabled:
-            self._fuzz_component_plain(info, campaign, config, result)
-        elif t.profiler.enabled:
-            self._fuzz_component_profiled(info, campaign, config, result, t)
-        else:
-            self._fuzz_component_instrumented(info, campaign, config, result, t)
-        return result
-
-    def fuzz_intent_stream(
-        self,
-        info: ComponentInfo,
-        campaign: Campaign,
-        intents: Iterable[FuzzIntent],
-        config: FuzzConfig = QUICK_CONFIG,
-        result: Optional[ComponentRunResult] = None,
-        observer: Optional[
-            Callable[
-                [ComponentInfo, FuzzIntent, str, Optional[DispatchResult]], None
-            ]
-        ] = None,
-    ) -> ComponentRunResult:
-        """Inject an explicit intent stream instead of a campaign grammar.
-
-        The guided fuzzer's entry point: the caller owns intent selection
-        (corpus mutation, spliced pools, replay) while this method keeps
-        the injection semantics -- pacing, kill switch, reboot abort,
-        quarantine -- identical to the campaign loops by sharing
-        :meth:`_injection_epilogue`.  *observer*, when given, sees every
-        injection as ``(info, intent, outcome, dispatch)`` so callers can
-        fingerprint behaviours without re-entering the dispatch path.
-        Passing *result* lets one accounting object span several streams.
-        """
-        if result is None:
-            result = ComponentRunResult(
-                component=info.name.flatten_to_string(),
-                kind=info.kind,
-                campaign=campaign,
-            )
         clock = self._device.clock
-        boots_before = self._device.boot_count
-        max_intents = config.max_intents_per_component
-        epilogue = self._injection_epilogue
-        for fuzz_intent in intents:
-            if max_intents is not None and result.sent >= max_intents:
-                break
-            outcome, dispatch = self._inject(info, fuzz_intent, result)
+        t = self._device.runtime.telemetry
+        inject: InjectStep = self._inject
+        with contextlib.ExitStack() as stack:
+            if t.enabled:
+                profiler = t.profiler
+                if profiler.enabled:
+                    if intents is None:
+                        intents = _grammar(info, campaign, config)
+                    intents = _profiled_generation(intents, profiler)
+                    inject = _profiled_dispatch(inject, profiler)
+                stack.enter_context(
+                    t.tracer.span(
+                        "component",
+                        clock=clock,
+                        component=result.component,
+                        kind=info.kind.value,
+                        campaign=campaign.value,
+                    )
+                )
+                inject = stack.enter_context(
+                    _recording(t, clock, info, campaign, config, result, inject)
+                )
             if observer is not None:
-                observer(info, fuzz_intent, outcome, dispatch)
-            if not epilogue(result, config, clock, boots_before):
-                break
+                inject = _observed(inject, observer)
+            advance = clock.advance_to
+            for deadline_ms in self.fuzz_component_coop(
+                info, campaign, config, result, intents, inject
+            ):
+                advance(deadline_ms)
         return result
-
-    def _fuzz_component_plain(
-        self,
-        info: ComponentInfo,
-        campaign: Campaign,
-        config: FuzzConfig,
-        result: ComponentRunResult,
-    ) -> None:
-        """The uninstrumented loop: telemetry off pays nothing here.
-
-        Implemented as a trampoline over :meth:`fuzz_component_coop`: each
-        yielded deadline is advanced to immediately, which is exactly what
-        ``clock.sleep`` would have done inline.  Sharing the generator with
-        the fleet kernel is what guarantees a multiplexed pair replays the
-        identical timeline a blocking run produces.
-        """
-        advance = self._device.clock.advance_to
-        for deadline_ms in self.fuzz_component_coop(info, campaign, config, result):
-            advance(deadline_ms)
 
     def fuzz_component_coop(
         self,
@@ -255,33 +363,34 @@ class FuzzerLibrary:
         campaign: Campaign,
         config: FuzzConfig,
         result: ComponentRunResult,
+        intents: Optional[Iterable[FuzzIntent]] = None,
+        inject: Optional[InjectStep] = None,
     ) -> Generator[float, None, None]:
-        """The cooperative component loop: yields instead of sleeping.
+        """The component loop -- the only one: yields instead of sleeping.
 
-        Each ``yield`` hands the caller the absolute virtual deadline the
-        paper's pacing calls for (100 ms between intents, +250 ms per
-        batch); the caller must advance this device's clock to the deadline
-        before resuming -- the blocking trampoline does it inline, the
-        :class:`~repro.android.clock.FleetScheduler` does it when this pair
-        is next up.  The body mirrors :meth:`_injection_epilogue` step for
-        step (kill tick, pacing, reboot abort, quarantine abort); the
-        stream-vs-coop equivalence test in ``tests/qgj`` keeps the two from
-        drifting apart.
+        Sends each of *intents* (default: the campaign grammar) through
+        *inject* (default: :meth:`_inject`), then ticks the kill switch and
+        applies the paper's pacing.  Each ``yield`` hands the caller the
+        absolute virtual deadline that pacing calls for (100 ms between
+        intents, +250 ms per batch); the caller must advance this device's
+        clock to the deadline before resuming -- :meth:`fuzz_component`
+        does it inline, the :class:`~repro.android.clock.FleetScheduler`
+        does it when this pair is next up.  A reboot aborts the rest of the
+        component, and so does a quarantine.
         """
-        clock = self._device.clock
+        if intents is None:
+            intents = _grammar(info, campaign, config)
+        if inject is None:
+            inject = self._inject
         device = self._device
+        clock = device.clock
         boots_before = device.boot_count
         max_intents = config.max_intents_per_component
         kill_switch = self.kill_switch
-        for fuzz_intent in generate(
-            campaign,
-            seed=config.seed,
-            component=info.name,
-            stride=config.stride_for(campaign),
-        ):
+        for fuzz_intent in intents:
             if max_intents is not None and result.sent >= max_intents:
                 break
-            self._inject(info, fuzz_intent, result)
+            inject(info, fuzz_intent, result)
             if kill_switch is not None:
                 kill_switch.tick()
             yield clock.now_ms() + config.intent_delay_ms
@@ -293,260 +402,6 @@ class FuzzerLibrary:
                 return
             if result.quarantined:
                 return
-
-    def _fuzz_component_instrumented(
-        self,
-        info: ComponentInfo,
-        campaign: Campaign,
-        config: FuzzConfig,
-        result: ComponentRunResult,
-        t,
-    ) -> None:
-        """The instrumented loop: handles bound up front, recording inlined.
-
-        Everything resolvable is hoisted out of the loop -- the metric
-        family (registered up front so the series' TYPE/HELP lines appear
-        even for a component that sends nothing), the per-outcome bound
-        handles, the tracer's leaf-ring state -- and the recording itself
-        is written *inline*: at ~100k injections/s a single Python method
-        call costs more than the record it would make.  This loop is the
-        one blessed inline client of the tracer's leaf ring; the compact
-        tuple it appends must materialize exactly what
-        :meth:`Tracer.record_leaf` would have recorded, and
-        ``tests/telemetry/test_trace.py`` asserts the two paths produce
-        identical spans so they cannot drift apart.  When sampling is on,
-        the loop simply calls :meth:`Tracer.record_leaf` (the sampled-out
-        common case returns before any of the inlined work would happen).
-
-        Heartbeat ticks and ring-eviction drops are not counted per
-        injection at all: both are settled from the ``sent`` delta -- the
-        heartbeat at each pacing batch boundary (and loop exit), so
-        progress snapshots trail by at most one batch, and the tracer's
-        dropped count once at loop exit (every inline append past capacity
-        evicted exactly one record).
-        """
-        device = self._device
-        clock = device.clock
-        boots_before = device.boot_count
-        # An unbounded run compares against +inf so the loop needs no
-        # None-check per iteration.
-        max_intents = config.max_intents_per_component
-        if max_intents is None:
-            max_intents = float("inf")
-        tracer = t.tracer
-        metrics = t.metrics
-        perf_counter = time.perf_counter
-        _INTENTS_SITE.family(metrics)
-        handles: dict = {}
-        campaign_value = campaign.value
-        package = info.package
-        heartbeat = t.progress
-        heartbeat.count_injections(0)  # pin the rate baseline to campaign start
-        sampling = tracer.sample_every != 1
-        record_leaf = tracer.record_leaf
-        finished = tracer._finished
-        ring_capacity = finished.maxlen
-        finished_append = finished.append
-        next_id = tracer._ids.__next__
-        inject = self._inject
-        epilogue = self._injection_epilogue
-        intent_stream = generate(
-            campaign,
-            seed=config.seed,
-            component=info.name,
-            stride=config.stride_for(campaign),
-        )
-        with tracer.span(
-            "component",
-            clock=clock,
-            component=result.component,
-            kind=info.kind.value,
-            campaign=campaign_value,
-        ):
-            # The open-span stack cannot change inside the loop (leaf spans
-            # never push), so the injection spans' parent is a constant.
-            stack = tracer._stack
-            parent_id = stack[-1].span_id if stack else None
-            # result.sent is mirrored in a local so the loop reads it once
-            # per iteration instead of three attribute loads.  Its deltas
-            # also stand in for per-iteration tick counters: _inject
-            # increments it exactly once per call.
-            sent = result.sent
-            sent_start = sent
-            hb_mark = sent
-            ring_len_start = len(finished)
-
-            def on_batch() -> None:
-                # Settle the heartbeat from the sent delta at each pacing
-                # batch boundary (the epilogue calls this at most once per
-                # batch, so it stays off the per-injection path).
-                nonlocal hb_mark
-                heartbeat.count_injections(result.sent - hb_mark)
-                hb_mark = result.sent
-
-            try:
-                for fuzz_intent in intent_stream:
-                    if sent >= max_intents:
-                        break
-                    start_wall = perf_counter()
-                    start_virtual = clock._now_ms
-                    outcome, _ = inject(info, fuzz_intent, result)
-                    end_wall = perf_counter()
-                    sent = result.sent
-                    if sampling:
-                        record_leaf(
-                            "injection",
-                            {"seq": sent, "outcome": outcome},
-                            start_wall,
-                            end_wall,
-                            start_virtual,
-                            clock._now_ms,
-                        )
-                    else:
-                        # Inline Tracer.record_leaf (see docstring): one
-                        # flat ring entry, attribute values trailing the
-                        # shared key tuple.  Eviction is the deque's own
-                        # maxlen drop; the dropped *count* is settled once
-                        # in the finally below, not per record.
-                        finished_append(
-                            (
-                                next_id(),
-                                parent_id,
-                                "injection",
-                                _LEAF_KEYS,
-                                start_wall,
-                                end_wall,
-                                start_virtual,
-                                clock._now_ms,
-                                sent,
-                                outcome,
-                            )
-                        )
-                    # Direct slot store: BoundCounter.inc(1) without the
-                    # call.  A handful of outcomes over thousands of
-                    # injections makes try/except cheaper than .get().
-                    try:
-                        handles[outcome].pending += 1
-                    except KeyError:
-                        handles[outcome] = handle = _INTENTS_SITE.bind(
-                            metrics, (campaign_value, package, outcome)
-                        )
-                        handle.pending += 1
-                    if not epilogue(result, config, clock, boots_before, on_batch):
-                        break
-            finally:
-                if sent != hb_mark:
-                    heartbeat.count_injections(sent - hb_mark)
-                if not sampling:
-                    # One inline append per injection: whatever the loop
-                    # pushed past capacity evicted that many records.
-                    overflow = ring_len_start + (sent - sent_start) - ring_capacity
-                    if overflow > 0:
-                        tracer._dropped += overflow
-
-    def _fuzz_component_profiled(
-        self,
-        info: ComponentInfo,
-        campaign: Campaign,
-        config: FuzzConfig,
-        result: ComponentRunResult,
-        t,
-    ) -> None:
-        """The self-profiled loop: like the instrumented one, plus phase
-        brackets around intent generation and dispatch.
-
-        Kept as its own variant so the common instrumented path carries no
-        profiler conditionals; profiling is explicitly a diagnostic mode
-        that trades some throughput for attribution.
-        """
-        clock = self._device.clock
-        boots_before = self._device.boot_count
-        max_intents = config.max_intents_per_component
-        tracer = t.tracer
-        metrics = t.metrics
-        profiler = t.profiler
-        record_leaf = tracer.record_leaf
-        perf_counter = time.perf_counter
-        now_ms = clock.now_ms
-        count_injection = t.progress.count_injection
-        _INTENTS_SITE.family(metrics)
-        handles: dict = {}
-        campaign_value = campaign.value
-        package = info.package
-        intent_stream = _profiled_generation(
-            generate(
-                campaign,
-                seed=config.seed,
-                component=info.name,
-                stride=config.stride_for(campaign),
-            ),
-            profiler,
-        )
-        with tracer.span(
-            "component",
-            clock=clock,
-            component=result.component,
-            kind=info.kind.value,
-            campaign=campaign_value,
-        ):
-            for fuzz_intent in intent_stream:
-                if max_intents is not None and result.sent >= max_intents:
-                    break
-                start_wall = perf_counter()
-                start_virtual = now_ms()
-                profiler.enter("dispatch")
-                try:
-                    outcome, _ = self._inject(info, fuzz_intent, result)
-                finally:
-                    profiler.exit()
-                record_leaf(
-                    "injection",
-                    {"seq": result.sent, "outcome": outcome},
-                    start_wall,
-                    perf_counter(),
-                    start_virtual,
-                    now_ms(),
-                )
-                handle = handles.get(outcome)
-                if handle is None:
-                    handles[outcome] = handle = _INTENTS_SITE.bind(
-                        metrics, (campaign_value, package, outcome)
-                    )
-                handle.pending += 1
-                count_injection()
-                if not self._injection_epilogue(result, config, clock, boots_before):
-                    break
-
-    def _injection_epilogue(
-        self,
-        result: ComponentRunResult,
-        config: FuzzConfig,
-        clock,
-        boots_before: int,
-        on_batch: Optional[Callable[[], None]] = None,
-    ) -> bool:
-        """The per-injection tail every loop variant shares.
-
-        Kill-switch tick, the paper's pacing (intent delay plus the extra
-        batch delay every ``batch_size`` injections), reboot detection and
-        quarantine abort -- factored here so the plain, instrumented, and
-        profiled loop bodies (and the guided engine's stream loop) cannot
-        drift apart.  *on_batch* fires at most once per pacing batch; the
-        instrumented loop uses it to settle its heartbeat delta.  Returns
-        ``False`` when the component loop must stop.
-        """
-        if self.kill_switch is not None:
-            self.kill_switch.tick()
-        clock.sleep(config.intent_delay_ms)
-        if result.sent % config.batch_size == 0:
-            clock.sleep(config.batch_delay_ms)
-            if on_batch is not None:
-                on_batch()
-        if self._device.boot_count != boots_before:
-            result.rebooted = True
-            result.aborted = True
-            return False
-        return not result.quarantined
 
     def _inject(
         self, info: ComponentInfo, fuzz_intent: FuzzIntent, result: ComponentRunResult
@@ -582,13 +437,19 @@ class FuzzerLibrary:
                         on_retry=count_retry,
                         telemetry_handle=runtime.telemetry,
                     )
-                except CompatMismatchError as exc:
-                    # Version skew is permanent -- the retry policy never
-                    # sees it -- but it is still infrastructure, not app
-                    # behaviour: its own counter, its own outcome label,
-                    # and quarantine pressure so a persistently mismatched
-                    # pair stops burning campaign time.
-                    result.compat_mismatches += 1
+                except (CompatMismatchError, *TRANSIENT_ERRORS) as exc:
+                    # Infrastructure, not app behaviour: kept out of the
+                    # classification buckets, with its own counter and
+                    # outcome label, and quarantine pressure so a broken
+                    # pair stops burning campaign time.  Version skew is
+                    # permanent (the retry policy never sees it); a
+                    # transient error lands here once its retries run out.
+                    if isinstance(exc, CompatMismatchError):
+                        result.compat_mismatches += 1
+                        outcome = "compat_mismatch"
+                    else:
+                        result.transport_failures += 1
+                        outcome = "transport_failure"
                     self.quarantine.record_failure(
                         info.package,
                         type(exc).__name__,
@@ -597,20 +458,7 @@ class FuzzerLibrary:
                     if self.quarantine.is_quarantined(info.package):
                         result.quarantined = True
                         result.aborted = True
-                    return "compat_mismatch", None
-                except TRANSIENT_ERRORS as exc:
-                    # Retries exhausted: an infrastructure loss, not an app
-                    # behaviour -- kept out of the classification buckets.
-                    result.transport_failures += 1
-                    self.quarantine.record_failure(
-                        info.package,
-                        type(exc).__name__,
-                        telemetry_handle=runtime.telemetry,
-                    )
-                    if self.quarantine.is_quarantined(info.package):
-                        result.quarantined = True
-                        result.aborted = True
-                    return "transport_failure", None
+                    return outcome, None
             else:
                 dispatch = send()
         except SecurityException:
@@ -702,9 +550,10 @@ class FuzzerLibrary:
         the :class:`AppRunResult` via ``StopIteration``.
 
         The fleet kernel's per-pair entry point.  Matches the telemetry-off
-        :meth:`fuzz_app` path exactly (telemetry spans are the blocking
-        paths' concern; fleet pairs account at the lane layer), including
-        the reboot/quarantine abort order.
+        :meth:`fuzz_app` path exactly, including the reboot/quarantine
+        abort order.  It runs the hookless component loop: interleaved
+        pairs share one tracer, so they must never open spans (fleet pairs
+        account at the lane layer).
         """
         package = self._device.packages.get_package(package_name)
         if package is None:

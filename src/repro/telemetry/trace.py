@@ -145,9 +145,12 @@ class Tracer:
         #: read -- the ring's cache footprint, not just its allocation rate,
         #: is what the hot path pays for.
         self._finished: Deque[object] = deque(maxlen=capacity)
+        #: Every record ever appended to the ring (absorbed shards' own
+        #: drops included); an inline leaf client adds its appends itself.
+        #: ``dropped`` is this minus what the ring retains.
+        self._appended = 0
         self._stack: List[Span] = []
         self._ids = itertools.count(1)
-        self._dropped = 0
         self._clock = clock
         self.sample_every = int(sample_every)
         self.sample_seed = int(sample_seed)
@@ -222,8 +225,7 @@ class Tracer:
             self._stack.pop()
             span.end_wall_s = time.perf_counter()
             span.end_virtual_ms = self._virtual_now(clock)
-            if len(self._finished) == self._finished.maxlen:
-                self._dropped += 1
+            self._appended += 1
             self._finished.append(span)
 
     # -- leaf fast path --------------------------------------------------------
@@ -253,10 +255,8 @@ class Tracer:
         if self.sample_every != 1 and not self._sample(name):
             return
         stack = self._stack
-        finished = self._finished
-        if len(finished) == finished.maxlen:
-            self._dropped += 1
-        finished.append(
+        self._appended += 1
+        self._finished.append(
             (
                 next(self._ids),
                 stack[-1].span_id if stack else None,
@@ -285,10 +285,8 @@ class Tracer:
             span.span_id = new_id
             if span.parent_id is not None:
                 span.parent_id = id_map.get(span.parent_id)
-            if len(self._finished) == self._finished.maxlen:
-                self._dropped += 1
             self._finished.append(span)
-        self._dropped += dropped
+        self._appended += len(spans) + dropped
         self._sampled_out += sampled_out
 
     # -- reads -----------------------------------------------------------------
@@ -305,7 +303,7 @@ class Tracer:
     @property
     def dropped(self) -> int:
         """Finished spans evicted by the ring buffer."""
-        return self._dropped
+        return self._appended - len(self._finished)
 
     @property
     def sampled_out(self) -> int:

@@ -94,20 +94,35 @@ class TestPackingInvariance:
         assert all(s["sent"] == 48 for s in reference["summaries"])
 
     def test_telemetry_counters_are_packing_invariant(self):
-        def counters(lanes, workers):
+        def counters(lanes, workers, guided):
             with telemetry.session() as t:
-                run_fleet_study(24, config=TINY, lanes=lanes, workers=workers)
-                return {
+                fleet = run_fleet_study(
+                    24, config=TINY, lanes=lanes, workers=workers, guided=guided
+                )
+                return fleet.intents_sent, {
                     (metric.name, tuple(sorted(labels.items()))): child.value
                     for metric in t.metrics.collect()
                     if metric.kind == "counter"
                     for labels, child in metric.samples()
                 }
 
-        reference = counters(1, 1)
-        assert reference  # the fleet actually recorded counters
-        assert counters(4, 1) == reference
-        assert counters(4, 2) == reference
+        guided = GuidedConfig(scheduler="ucb", block_size=16, budget=48)
+        for mode in (None, guided):
+            reference = counters(1, 1, mode)
+            sent, series = reference
+            assert series  # the fleet actually recorded counters
+            if mode is not None:
+                # Guided pairs run their blocks through the blocking
+                # component driver (inside one scheduler step), so their
+                # intents are counted; blind pairs' hookless loop is not.
+                injected = sum(
+                    value
+                    for (name, _), value in series.items()
+                    if name == "intents_injected_total"
+                )
+                assert injected == sent > 0
+            assert counters(4, 1, mode) == reference
+            assert counters(4, 2, mode) == reference
 
 
 class TestKillResumeIdentity:

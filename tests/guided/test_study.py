@@ -12,7 +12,7 @@ from repro.guided import (
     run_guided_study,
 )
 from repro.qgj.campaigns import Campaign, campaign_size
-from repro.telemetry.metrics import AM_DISPATCHES, LOGCAT_WRITTEN
+from repro.telemetry.metrics import AM_DISPATCHES, INTENTS_INJECTED, LOGCAT_WRITTEN
 
 
 def packages(count):
@@ -74,25 +74,29 @@ class TestTelemetry:
     @staticmethod
     def _counters(workers):
         with telemetry.session() as t:
-            run_guided_study(QUICK, SMALL, packages=packages(2), workers=workers)
-            return {
+            result = run_guided_study(
+                QUICK, SMALL, packages=packages(2), workers=workers
+            )
+            counters = {
                 (metric.name, tuple(sorted(labels.items()))): child.value
                 for metric in t.metrics.collect()
                 if metric.kind == "counter"
                 for labels, child in metric.samples()
             }
+            return result.total_sent, counters
 
     def test_device_counters_recorded_and_worker_invariant(self):
-        reference = self._counters(1)
+        sent, reference = self._counters(1)
         totals = {}
         for (name, _labels), value in reference.items():
             totals[name] = totals.get(name, 0) + value
-        # Device-level counters: guided blocks inject through the intent
-        # stream entry point, which records dispatches but not the campaign
-        # loops' intents_injected_total.
         for name in (AM_DISPATCHES, LOGCAT_WRITTEN):
             assert totals.get(name, 0) > 0, name
-        assert self._counters(2) == reference
+        # Guided blocks run through the fuzzer's one component loop, so
+        # every intent they send is counted like a blind campaign's.
+        assert sent > 0
+        assert totals.get(INTENTS_INJECTED) == sent
+        assert self._counters(2) == (sent, reference)
 
 
 class TestBudget:

@@ -197,22 +197,28 @@ class TestZeroOverheadDiscipline:
 
     def test_results_identical_with_and_without_telemetry(self):
         from repro.apps.catalog import build_wear_corpus
+        from repro.qgj.campaigns import generate
 
-        def run():
+        def run(explicit_intents=False):
             corpus = build_wear_corpus(seed=2018)
             watch = WearDevice("twin")
             corpus.install(watch)
             fuzzer = FuzzerLibrary(watch)
             info = watch.packages.get_package("com.runmate.wear").activities()[1]
-            return fuzzer.fuzz_component(info, Campaign.B, FuzzConfig())
+            config = FuzzConfig()
+            intents = None
+            if explicit_intents:
+                intents = generate(Campaign.B, seed=config.seed, component=info.name)
+            result = fuzzer.fuzz_component(info, Campaign.B, config, intents=intents)
+            return result, watch.clock.now_ms()
 
         plain = run()
-        with telemetry.session():
-            instrumented = run()
-        assert plain.sent == instrumented.sent
-        assert plain.delivered == instrumented.delivered
-        assert plain.security_exceptions == instrumented.security_exceptions
-        assert plain.not_found == instrumented.not_found
+        assert plain[0].sent == 141
+        assert run(explicit_intents=True) == plain
+        for session in ({}, {"sample_every": 7}, {"profile": True}):
+            with telemetry.session(**session):
+                assert run() == plain, session
+                assert run(explicit_intents=True) == plain, session
 
 
 class TestOtherPlanes:

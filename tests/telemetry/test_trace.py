@@ -146,11 +146,11 @@ class TestLeafFastPath:
         assert [s.attributes["seq"] for s in tracer.spans()] == [7, 8, 9]
 
     def test_inline_client_entry_materializes_like_record_leaf(self):
-        # The fuzzer's instrumented loop is the one blessed inline client
-        # of the leaf ring: it appends compact tuples directly instead of
-        # calling record_leaf.  This locks the entry layout (and the
-        # materialized attribute order) to what record_leaf produces, so
-        # the two paths cannot drift apart.
+        # The fuzzer's telemetry recorder (repro.qgj.fuzzer._recording) is
+        # the one inline client of the leaf ring: it appends compact tuples
+        # directly instead of calling record_leaf.  This locks the entry
+        # layout (and the materialized attribute order) to what record_leaf
+        # produces, so the two paths cannot drift apart.
         from repro.qgj.fuzzer import _LEAF_KEYS
 
         reference, inline = Tracer(capacity=8), Tracer(capacity=8)
@@ -227,6 +227,35 @@ class TestLeafFastPath:
             # 50 injections + 1 component span through a 16-slot ring
             assert len(t.tracer) == 16
             assert t.tracer.dropped == 35
+
+    def test_eviction_accounting_counts_spans_appended_mid_loop(self):
+        # The chaos plane appends `fault` spans while the component loop is
+        # still appending inline injection records; every one of them is
+        # either retained or counted as dropped, whatever the capacity.
+        from repro import faults, telemetry
+        from repro.apps.catalog import build_wear_corpus
+        from repro.faults.plan import FaultPlan
+        from repro.qgj.campaigns import Campaign
+        from repro.qgj.fuzzer import FuzzConfig, FuzzerLibrary
+        from repro.wear.device import WearDevice
+
+        plan = FaultPlan(seed=3, binder_every_ms=1500.0, lmkd_every_ms=2500.0)
+
+        def accounted(capacity):
+            watch = WearDevice("leaf-chaos")
+            build_wear_corpus(seed=2018).install(watch)
+            info = watch.packages.get_package("com.runmate.wear").activities()[1]
+            with faults.session(plan), telemetry.session(span_capacity=capacity) as t:
+                FuzzerLibrary(watch).fuzz_component(info, Campaign.B, FuzzConfig())
+                names = {s.name for s in t.tracer.spans()}
+                return len(t.tracer) + t.tracer.dropped, t.tracer.dropped, names
+
+        total, dropped, names = accounted(400)
+        assert dropped == 0
+        assert "fault" in names  # the plan really appended mid-loop
+        small_total, small_dropped, _ = accounted(64)
+        assert small_dropped > 0
+        assert small_total == total
 
 
 class TestSampling:
