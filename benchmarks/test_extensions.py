@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis.aging import error_series, mann_kendall_trend, peak_damage
 from repro.analysis.compare import evolution_table, render_evolution, verdict
-from repro.analysis.logparse import parse_events
+from repro.analysis.logparse import parse_events, parse_lines
 from repro.qgj.lint import correlate, lint_device, render_report
 
 
@@ -57,7 +57,7 @@ def test_aging_signal_regenerates(benchmark, wear):
     text = watch.adb.logcat()
 
     def analyse():
-        events = parse_events(text)
+        events = parse_events(parse_lines(text))
         samples = error_series(events)
         return peak_damage(samples), mann_kendall_trend(samples)
 

@@ -93,10 +93,10 @@ def test_log_parsing_throughput(benchmark, installed_watch):
     fuzzer = FuzzerLibrary(watch)
     watch.logcat.clear()
     fuzzer.fuzz_app("com.runmate.wear", Campaign.B, FuzzConfig())
-    text = watch.adb.logcat()
-    assert text
+    records = watch.adb.logcat_records()
+    assert records
 
-    events = benchmark(parse_events, text)
+    events = benchmark(parse_events, records)
     assert events
 
 
@@ -105,11 +105,11 @@ def test_collector_fold_throughput(benchmark, installed_watch):
     fuzzer = FuzzerLibrary(watch)
     watch.logcat.clear()
     fuzzer.fuzz_app("com.fitband.wear", Campaign.B, FuzzConfig())
-    text = watch.adb.logcat()
+    records = watch.adb.logcat_records()
 
     def run():
         collector = StudyCollector(corpus.packages())
-        collector.fold(text, "com.fitband.wear", "B")
+        collector.fold(records, "com.fitband.wear", "B")
         return collector
 
     collector = benchmark(run)

@@ -20,7 +20,7 @@ from repro.analysis.aging import (
     damage_trajectory,
     error_series,
 )
-from repro.analysis.logparse import RebootEvent, parse_events
+from repro.analysis.logparse import RebootEvent, parse_events, parse_lines
 from repro.apps.builtin import AMBIENT_BINDER_PACKAGE
 from repro.apps.catalog import build_wear_corpus
 from repro.qgj.campaigns import Campaign
@@ -56,7 +56,7 @@ def main() -> None:
     fuzzer.fuzz_app(AMBIENT_BINDER_PACKAGE, Campaign.D, FuzzConfig())
     log_text = watch.adb.logcat()
 
-    events = parse_events(log_text)
+    events = parse_events(parse_lines(log_text))
     print(aging_report(events, threshold=8.0))
 
     samples = error_series(events)

@@ -41,7 +41,7 @@ def main() -> None:
     for package in health_apps:
         for campaign in Campaign:
             fuzzer.fuzz_app(package, campaign, QUICK)
-            collector.fold(adb.logcat(), package, campaign.value)
+            collector.fold(adb.logcat_records(), package, campaign.value)
             adb.logcat_clear()
 
     # Per-app manifestation matrix.

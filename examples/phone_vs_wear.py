@@ -34,7 +34,7 @@ def crash_distribution(device, corpus, app_limit) -> Counter:
     for package in packages:
         for campaign in Campaign:
             fuzzer.fuzz_app(package, campaign, QUICK)
-            collector.fold(adb.logcat(), package, campaign.value)
+            collector.fold(adb.logcat_records(), package, campaign.value)
             adb.logcat_clear()
     distribution: Counter = Counter()
     for record in collector.component_records():

@@ -50,17 +50,17 @@ def main() -> None:
     fuzzer.fuzz_app(
         HEART_RATE_PACKAGE, Campaign.A, FuzzConfig(strides={Campaign.A: 12})
     )
-    log_text = adb.logcat()
+    records = adb.logcat_records()
     show_log_excerpt(watch, ["ANR in", "Fatal signal 6", "SYSTEM REBOOT"])
-    collector.fold(log_text, HEART_RATE_PACKAGE, "A")
+    collector.fold(records, HEART_RATE_PACKAGE, "A")
     adb.logcat_clear()
     print(f"  boot count is now {watch.boot_count} (aging score was {aging_before:.1f} at start)\n")
 
     print("=== Scenario 2: watch-face app, campaign D (ambient starvation SIGSEGV) ===")
     fuzzer.fuzz_app(AMBIENT_BINDER_PACKAGE, Campaign.D, FuzzConfig())
-    log_text = adb.logcat()
+    records = adb.logcat_records()
     show_log_excerpt(watch, ["unable to bind Ambient", "Fatal signal 11", "SYSTEM REBOOT"])
-    collector.fold(log_text, AMBIENT_BINDER_PACKAGE, "D")
+    collector.fold(records, AMBIENT_BINDER_PACKAGE, "D")
     print(f"  boot count is now {watch.boot_count}\n")
 
     print(render_reboot_postmortems(collector))

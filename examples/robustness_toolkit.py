@@ -52,7 +52,7 @@ def main() -> None:
     for package in ("com.runmate.wear", "com.fitband.wear", "com.motorola.omega.body"):
         for campaign in Campaign:
             fuzzer.fuzz_app(package, campaign, QUICK)
-            collector.fold(adb.logcat(), package, campaign.value)
+            collector.fold(adb.logcat_records(), package, campaign.value)
             adb.logcat_clear()
     corr = correlate(findings, collector)
     print(

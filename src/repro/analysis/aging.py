@@ -27,7 +27,6 @@ import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.analysis.logparse import (
     AnrEvent,
@@ -120,6 +119,10 @@ def mann_kendall_trend(
             is_aging=False,
             windows=len(centres),
         )
+    # scipy.stats is the package's heaviest import and this its only use:
+    # deferred here, it stays off every `repro` import (CLI, daemon, workers).
+    from scipy import stats
+
     tau, p_value = stats.kendalltau(centres, weights)
     tau = 0.0 if math.isnan(tau) else float(tau)
     p_value = 1.0 if math.isnan(p_value) else float(p_value)

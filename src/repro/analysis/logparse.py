@@ -1,11 +1,13 @@
-"""Parsing device logs back into structured failure events.
+"""Reading device logs back into structured failure events.
 
 The paper's methodology is log-driven: "we collected all of the log files
 (over 2GB) from the wearable using logcat, through the adb interface.
 Then, we analyzed the logs to gather information, and for each component
 classified the behavior of the application."  This module is that first
-analysis stage: plain ``threadtime`` logcat text in, a typed event stream
-out.
+analysis stage: logcat records in -- as ``adb`` pulls them, or decoded from
+``threadtime`` text by :func:`parse_lines`, the inverse of
+:meth:`LogRecord.render` that a property test pins -- and a typed event
+stream out.  Nothing here reads simulator state.
 
 Recognised events:
 
@@ -17,16 +19,19 @@ Recognised events:
 * fatal native signals → :class:`NativeSignalEvent`;
 * reboot markers → :class:`RebootEvent`.
 
-The parser is *total*: arbitrary garbage lines are skipped, never raised on
--- a property the test suite checks with hypothesis, because a fuzzing
-study's own log parser dying on weird logs would be a bad joke.
+The parser is *total*: arbitrary records and garbage lines are skipped,
+never raised on -- a property the test suite checks with hypothesis,
+because a fuzzing study's own log parser dying on weird logs would be a bad
+joke.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
+
+from repro.android.log import TAG_ACTIVITY_MANAGER, TAG_RUNTIME, Level, LogRecord
 
 # `06-20 10:00:01.234  1234  1234 E AndroidRuntime: message`
 _LINE_RE = re.compile(
@@ -46,9 +51,13 @@ _NATIVE_RE = re.compile(
 )
 _REBOOT_RE = re.compile(r"^!!! SYSTEM REBOOT: (?P<reason>.*) !!!$")
 _CMP_RE = re.compile(r"cmp=(?P<cmp>[\w.$]+/[\w.$]+)")
+_DENIAL_TARGET_RE = re.compile(r" to (?P<cmp>[\w.$]+/[\w.$]+)")
+
+_FATAL_HEADER = "FATAL EXCEPTION: main"
+_HANDLED_LEVELS = (Level.WARN, Level.ERROR)
 
 
-def _parse_time_ms(match: "re.Match[str]") -> float:
+def _parse_time_ms(match: "re.Match[str]") -> int:
     """Invert the logcat timestamp back to virtual milliseconds-since-boot."""
     day = int(match.group("day")) - 20
     hour = int(match.group("hour")) - 10 + day * 24
@@ -58,15 +67,6 @@ def _parse_time_ms(match: "re.Match[str]") -> float:
         + int(match.group("second")) * 1_000
         + int(match.group("ms"))
     )
-
-
-@dataclasses.dataclass
-class LogLine:
-    time_ms: float
-    pid: int
-    level: str
-    tag: str
-    message: str
 
 
 @dataclasses.dataclass
@@ -143,52 +143,69 @@ LogEvent = Union[
 ]
 
 
-def parse_lines(text: str) -> Iterator[LogLine]:
-    """Tokenise logcat text; malformed lines are skipped."""
+def parse_lines(text: str) -> Iterator[LogRecord]:
+    """Decode ``threadtime`` text to records; malformed lines are skipped.
+
+    Inverts :meth:`LogRecord.render`, to the millisecond, for a tag without
+    ``:`` or surrounding whitespace, a one-line message, non-negative pid
+    and tid, and a time before the two-digit day runs out.
+    """
     for raw in text.splitlines():
         match = _LINE_RE.match(raw)
         if match is None:
             continue
-        yield LogLine(
+        yield LogRecord(
             time_ms=_parse_time_ms(match),
             pid=int(match.group("pid")),
-            level=match.group("level"),
+            tid=int(match.group("tid")),
+            level=Level(match.group("level")),
             tag=match.group("tag").strip(),
             message=match.group("message"),
         )
 
 
-def parse_events(text: str) -> List[LogEvent]:
-    """Extract the full event stream from logcat text."""
+def parse_events(records: Iterable[LogRecord]) -> List[LogEvent]:
+    """Extract the full event stream from logcat records in one scan.
+
+    A block -- a FATAL EXCEPTION block, an ANR block, or a handled exception
+    with its ``at`` frames -- is read where it starts and consumed whole.
+    Event times are whole milliseconds, the resolution of the text grammar.
+    """
+    records = tuple(records)
     events: List[LogEvent] = []
-    lines = list(parse_lines(text))
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        consumed = (
-            _try_fatal_block(lines, i, events)
-            or _try_anr_block(lines, i, events)
-            or _try_single_line(line, events)
-        )
-        i += max(consumed, 1)
+    i, end = 0, len(records)
+    while i < end:
+        record = records[i]
+        if record.tag == TAG_RUNTIME and record.message == _FATAL_HEADER:
+            i = _fatal_block(records, i, events)
+            continue
+        if record.tag == TAG_ACTIVITY_MANAGER:
+            anr = _ANR_RE.match(record.message)
+            if anr is not None:
+                i = _anr_block(records, i, anr, events)
+                continue
+        i += 1
+        event = _single_record(record)
+        if event is not None:
+            events.append(event)
+            if type(event) is HandledExceptionEvent:
+                i = attach_handled_frames(records, i, event)
     return events
 
 
 # -- block scanners -----------------------------------------------------------
 
 
-def _try_fatal_block(lines: Sequence[LogLine], i: int, events: List[LogEvent]) -> int:
-    line = lines[i]
-    if line.tag != "AndroidRuntime" or line.message != "FATAL EXCEPTION: main":
-        return 0
-    process, pid = "", line.pid
+def _fatal_block(records: Sequence[LogRecord], i: int, events: List[LogEvent]) -> int:
+    head = records[i]
+    process, pid = "", head.pid
     chain: List[str] = []
     messages: List[str] = []
     frames: List[str] = []
     j = i + 1
-    while j < len(lines) and lines[j].tag == "AndroidRuntime" and lines[j].pid == line.pid:
-        message = lines[j].message
-        if message == "FATAL EXCEPTION: main":
+    while j < len(records) and records[j].tag == TAG_RUNTIME and records[j].pid == pid:
+        message = records[j].message
+        if message == _FATAL_HEADER:
             break
         if message.startswith("Process: "):
             process = message[len("Process: "):].split(",", 1)[0]
@@ -197,19 +214,20 @@ def _try_fatal_block(lines: Sequence[LogLine], i: int, events: List[LogEvent]) -
             if exc:
                 chain.append(exc.group("cls"))
                 messages.append(exc.group("msg") or "")
-        elif _FRAME_RE.match(message):
-            frame = _FRAME_RE.match(message)
-            frames.append(frame.group("cls"))
         else:
-            exc = _EXC_RE.match(message)
-            if exc and not chain:
-                chain.append(exc.group("cls"))
-                messages.append(exc.group("msg") or "")
+            frame = _FRAME_RE.match(message)
+            if frame is not None:
+                frames.append(frame.group("cls"))
+            elif not chain:
+                exc = _EXC_RE.match(message)
+                if exc:
+                    chain.append(exc.group("cls"))
+                    messages.append(exc.group("msg") or "")
         j += 1
     if chain:
         events.append(
             FatalExceptionEvent(
-                time_ms=line.time_ms,
+                time_ms=int(head.time_ms),
                 process=process,
                 pid=pid,
                 exception_chain=chain,
@@ -217,124 +235,82 @@ def _try_fatal_block(lines: Sequence[LogLine], i: int, events: List[LogEvent]) -
                 frames=frames,
             )
         )
-    return j - i
+    return j
 
 
-def _try_anr_block(lines: Sequence[LogLine], i: int, events: List[LogEvent]) -> int:
-    line = lines[i]
-    if line.tag != "ActivityManager":
-        return 0
-    match = _ANR_RE.match(line.message)
-    if match is None:
-        return 0
+def _anr_block(records: Sequence[LogRecord], i: int, anr, events: List[LogEvent]) -> int:
     reason = ""
     j = i + 1
-    while j < len(lines) and lines[j].tag == "ActivityManager" and j - i < 4:
-        if lines[j].message.startswith("Reason: "):
-            reason = lines[j].message[len("Reason: "):]
+    while j < len(records) and records[j].tag == TAG_ACTIVITY_MANAGER and j - i < 4:
+        if records[j].message.startswith("Reason: "):
+            reason = records[j].message[len("Reason: "):]
         j += 1
     events.append(
         AnrEvent(
-            time_ms=line.time_ms,
-            process=match.group("process"),
-            component=match.group("component"),
+            time_ms=int(records[i].time_ms),
+            process=anr.group("process"),
+            component=anr.group("component"),
             reason=reason,
         )
     )
-    return j - i
+    return j
 
 
-def _try_single_line(line: LogLine, events: List[LogEvent]) -> int:
-    message = line.message
+def _single_record(record: LogRecord) -> Optional[LogEvent]:
+    message = record.message
     reboot = _REBOOT_RE.match(message)
     if reboot:
-        events.append(RebootEvent(time_ms=line.time_ms, reason=reboot.group("reason")))
-        return 1
+        return RebootEvent(time_ms=int(record.time_ms), reason=reboot.group("reason"))
     native = _NATIVE_RE.match(message)
     if native:
-        events.append(
-            NativeSignalEvent(
-                time_ms=line.time_ms,
-                signal=native.group("signal"),
-                number=int(native.group("number")),
-                process=native.group("process"),
-                reason=native.group("reason") or "",
-            )
+        return NativeSignalEvent(
+            time_ms=int(record.time_ms),
+            signal=native.group("signal"),
+            number=int(native.group("number")),
+            process=native.group("process"),
+            reason=native.group("reason") or "",
         )
-        return 1
-    if line.tag == "ActivityManager" and "SecurityException: Permission Denial:" in message:
+    if record.tag == TAG_ACTIVITY_MANAGER and "SecurityException: Permission Denial:" in message:
         detail = message.split("Permission Denial:", 1)[1].strip()
-        cmp_match = _CMP_RE.search(message)
-        component = None
-        if cmp_match:
-            component = _expand_component(cmp_match.group("cmp"))
-        else:
-            component = _component_from_denial(detail)
-        events.append(
-            SecurityDenialEvent(time_ms=line.time_ms, detail=detail, component=component)
+        cmp_match = _CMP_RE.search(message) or _DENIAL_TARGET_RE.search(detail)
+        return SecurityDenialEvent(
+            time_ms=int(record.time_ms),
+            detail=detail,
+            component=expand_component(cmp_match.group("cmp")) if cmp_match else None,
         )
-        return 1
-    if line.level in ("W", "E"):
-        found = re.search(rf"(?P<cls>{_EXC_CLASS})(?:: (?P<msg>.*))?$", message)
-        if found and not message.startswith(("Caused by",)):
-            events.append(
-                HandledExceptionEvent(
-                    time_ms=line.time_ms,
-                    pid=line.pid,
-                    tag=line.tag,
-                    exception_class=found.group("cls"),
-                    message=found.group("msg"),
-                    frames=[],
-                )
+    if record.level in _HANDLED_LEVELS and not message.startswith("Caused by"):
+        found = _EXC_RE.search(message)
+        if found:
+            return HandledExceptionEvent(
+                time_ms=int(record.time_ms),
+                pid=record.pid,
+                tag=record.tag,
+                exception_class=found.group("cls"),
+                message=found.group("msg"),
+                frames=[],
             )
-            return 1
-    return 0
+    return None
 
 
-def _expand_component(short: str) -> str:
+def attach_handled_frames(records: Sequence[LogRecord], i: int, event: HandledExceptionEvent) -> int:
+    """Attach the ``at Class.method(...)`` frames that the same pid logged
+    from *i* on, right after a handled exception; returns the next index.
+
+    The frames carry the throwing component's class, which the classifier
+    needs for attribution.
+    """
+    while i < len(records) and records[i].pid == event.pid:
+        frame = _FRAME_RE.match(records[i].message)
+        if frame is None:
+            break
+        event.frames.append(frame.group("cls"))
+        i += 1
+    return i
+
+
+def expand_component(short: str) -> str:
     """Expand ``pkg/.Cls`` to ``pkg/pkg.Cls``."""
     package, _, cls = short.partition("/")
     if cls.startswith("."):
         cls = package + cls
     return f"{package}/{cls}"
-
-
-def _component_from_denial(detail: str) -> Optional[str]:
-    """Pull a target component out of a denial detail, if present."""
-    match = re.search(r" to ([\w.$]+/[\w.$]+)", detail)
-    if match:
-        return _expand_component(match.group(1))
-    return None
-
-
-def attach_handled_frames(text: str, events: List[LogEvent]) -> None:
-    """Second pass: attach ``at Class.method(...)`` frame hints to handled
-    exceptions, matching by pid and adjacency in the raw text.
-
-    Handled-exception warnings are logged as a small block -- the exception
-    line followed by a few frame lines under the same tag/pid.  The frames
-    carry the throwing component's class, which the classifier needs for
-    attribution.
-    """
-    lines = list(parse_lines(text))
-    by_key = {}
-    for event in events:
-        if isinstance(event, HandledExceptionEvent):
-            by_key.setdefault((event.pid, event.exception_class), []).append(event)
-    pending: Optional[HandledExceptionEvent] = None
-    queue_index = {}
-    for line in lines:
-        frame = _FRAME_RE.match(line.message)
-        if frame is not None and pending is not None and line.pid == pending.pid:
-            pending.frames.append(frame.group("cls"))
-            continue
-        found = re.search(rf"(?P<cls>{_EXC_CLASS})", line.message)
-        pending = None
-        if found and line.level in ("W", "E"):
-            key = (line.pid, found.group("cls"))
-            queue = by_key.get(key)
-            if queue:
-                index = queue_index.get(key, 0)
-                if index < len(queue):
-                    pending = queue[index]
-                    queue_index[key] = index + 1

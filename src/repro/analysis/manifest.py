@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.logparse import (
     AnrEvent,
@@ -29,7 +29,7 @@ from repro.analysis.logparse import (
     NativeSignalEvent,
     RebootEvent,
     SecurityDenialEvent,
-    attach_handled_frames,
+    expand_component,
     parse_events,
 )
 from repro.analysis.rootcause import (
@@ -40,6 +40,7 @@ from repro.analysis.rootcause import (
     reboot_window_events,
 )
 from repro.android.component import ComponentInfo, ComponentKind
+from repro.android.log import LogRecord
 from repro.android.package_manager import PackageInfo
 
 SECURITY_EXCEPTION = "java.lang.SecurityException"
@@ -200,10 +201,9 @@ class StudyCollector:
         return self._components.get(component_flat)
 
     # -- folding -----------------------------------------------------------------
-    def fold(self, log_text: str, package: str, campaign: str) -> None:
-        """Fold one (app, campaign) logcat segment into the study state."""
-        events = parse_events(log_text)
-        attach_handled_frames(log_text, events)
+    def fold(self, records: Iterable[LogRecord], package: str, campaign: str) -> None:
+        """Fold one (app, campaign) segment's log records into the study state."""
+        events = parse_events(records)
         self.segments_folded += 1
         severity = self.app_campaign.get((package, campaign), Manifestation.NO_EFFECT)
 
@@ -215,7 +215,7 @@ class StudyCollector:
                     record.fatal_outer_classes[event.outer_class] += 1
                 severity = max(severity, Manifestation.CRASH)
             elif isinstance(event, AnrEvent):
-                record = self._components.get(_expand_short(event.component))
+                record = self._components.get(expand_component(event.component))
                 if record is not None:
                     record.anr_count += 1
                     cause = attribute_anr(event, events)
@@ -254,7 +254,7 @@ class StudyCollector:
             elif isinstance(event, HandledExceptionEvent):
                 record = self._attribute_frames(event.frames, fallback_package=None)
             elif isinstance(event, AnrEvent):
-                record = self._components.get(_expand_short(event.component))
+                record = self._components.get(expand_component(event.component))
             elif isinstance(event, NativeSignalEvent):
                 native = event.signal
             if record is not None:
@@ -326,9 +326,3 @@ class StudyCollector:
             return 0.0
         return security / total
 
-
-def _expand_short(short: str) -> str:
-    package, _, cls = short.partition("/")
-    if cls.startswith("."):
-        cls = package + cls
-    return f"{package}/{cls}"

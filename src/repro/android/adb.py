@@ -37,6 +37,7 @@ from repro.android.jtypes import (
     SecurityException,
     Throwable,
 )
+from repro.android.log import LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.android.device import Device
@@ -85,10 +86,14 @@ class Adb:
             plane.on_adb(self._device)
 
     # -- logcat -----------------------------------------------------------------
-    def logcat(self) -> str:
-        """``adb logcat -d``: dump the full buffer."""
+    def logcat_records(self) -> Tuple[LogRecord, ...]:
+        """``adb logcat -d``: pull the full buffer as records."""
         self._session()
-        return self._device.logcat.dump()
+        return tuple(self._device.logcat.records())
+
+    def logcat(self) -> str:
+        """``adb logcat -d`` as ``threadtime`` text: one pull, rendered."""
+        return "\n".join(record.render() for record in self.logcat_records())
 
     def logcat_clear(self) -> None:
         """``adb logcat -c``."""

@@ -17,9 +17,9 @@ an uncaught exception::
     Caused by: java.lang.IllegalStateException: ...
         at ...
 
-The analysis pipeline (:mod:`repro.analysis.logparse`) parses that exact
-grammar back out of the collected logs, which keeps the reproduction honest:
-results flow through real log text, not through in-memory shortcuts.
+The analysis pipeline (:mod:`repro.analysis.logparse`) reads that exact
+grammar back out of the collected log records or their text, which keeps the
+reproduction honest: results flow through the log, not simulator state.
 """
 
 from __future__ import annotations

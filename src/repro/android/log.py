@@ -5,10 +5,10 @@ ran fuzz campaigns, pulled >2 GB of ``logcat`` output over ``adb``, and then
 classified component behaviour by grepping for ``FATAL EXCEPTION: main``,
 ANR entries, ``SecurityException`` permission denials, and reboot markers.
 
-To keep this reproduction honest, the simulator emits the same log grammar
-and the analysis package parses it back out of plain text -- results never
-take an in-memory shortcut around the log.  The grammar implemented here is
-the Android ``threadtime`` format::
+To keep this reproduction honest, the analysis reads only what logcat holds
+-- the records ``adb`` pulls, or text decoded back to records by a codec a
+property test pins -- never simulator state.  The text grammar
+(:meth:`LogRecord.render`) is the Android ``threadtime`` format::
 
     06-20 10:01:22.345  1234  1234 E AndroidRuntime: FATAL EXCEPTION: main
     06-20 10:01:22.345  1234  1234 E AndroidRuntime: Process: com.example.fit, PID: 1234
@@ -125,6 +125,7 @@ class Logcat:
         self.runtime = runtime if runtime is not None else RuntimeContext()
         self._records: Deque[LogRecord] = deque(maxlen=capacity)
         self._dropped = 0
+        self._appended = 0
         # Bound telemetry handles, re-resolved when the registry changes
         # identity (a new session or a shard-local handle); write() is on
         # the path of every simulated log line, so the steady-state cost
@@ -163,6 +164,7 @@ class Logcat:
             )
             written += 1
         self._dropped += dropped_now
+        self._appended += written
         if t.enabled:
             metrics = t.metrics
             if metrics is not self._bound_registry:
@@ -247,6 +249,12 @@ class Logcat:
     def records(self) -> Iterator[LogRecord]:
         return iter(self._records)
 
+    def records_since(self, mark: int) -> List[LogRecord]:
+        """The retained records appended after *mark*, an :attr:`appended`
+        value read earlier; eviction and truncation only take older ones."""
+        count = min(self._appended - mark, len(self._records))
+        return list(self._records)[len(self._records) - count:]
+
     def dump(self) -> str:
         """Full text, the output of ``adb logcat -d``."""
         return "\n".join(record.render() for record in self._records)
@@ -297,3 +305,9 @@ class Logcat:
     def dropped(self) -> int:
         """Records evicted by the ring buffer (0 when capacity is None)."""
         return self._dropped
+
+    @property
+    def appended(self) -> int:
+        """Records ever appended; unlike :func:`len`, never lowered by
+        eviction, truncation or :meth:`clear`."""
+        return self._appended

@@ -5,7 +5,7 @@ function of its :class:`ShardSpec`: it builds its own corpus, its own
 device(s) on a virtual clock starting at zero, its own scoped fault plane
 and (in worker processes) its own telemetry handle, runs the shard's
 ``(package, campaign)`` segments with exactly the serial harness's rhythm
--- fuzz, pull the log, fold, clear -- and returns a picklable
+-- fuzz, pull the log records, fold, clear -- and returns a picklable
 :class:`ShardResult`.  Nothing it touches is process-global, which is the
 whole determinism argument: a shard cannot observe which worker ran it,
 what ran before it, or how many siblings it has.
@@ -75,7 +75,9 @@ LOG_PULL_RETRY = RetryPolicy(max_attempts=6, base_delay_ms=200.0, max_delay_ms=5
 #: Version 3: PlanExecution carries OS-service/compat state (outage windows,
 #: pending corruptions and compat manifestations); older pickles lack the
 #: attributes and cannot resume under the widened fault model.
-SNAPSHOT_VERSION = 3
+#: Version 4: Logcat counts every record it ever appended (``appended``);
+#: older pickles lack the counter.
+SNAPSHOT_VERSION = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,16 +182,20 @@ def run_segment(
 ) -> AppRunResult:
     """One segment of the paper's harness rhythm on *fuzzer*'s device.
 
-    Fuzz *package* with *campaign*, pull the device log over adb, fold it
-    into *collector*, and clear the buffer.  The two adb calls retry over
-    session drops only when *plane* is armed; *index* keys their backoff
-    jitter so each segment's retries are distinct and reproducible.
+    Fuzz *package* with *campaign*, pull the device log over adb as
+    records, fold them into *collector*, and clear the buffer.  The two adb
+    calls retry over session drops only when *plane* is armed; *index* keys
+    their backoff jitter so each segment's retries are distinct and
+    reproducible.  Under ``--profile`` the fold is its own ``fold`` phase.
     """
     device = fuzzer.device
     adb = device.adb
     result = fuzzer.fuzz_app(package, campaign, fuzz)
-    log_text = _adb_call(adb.logcat, device.clock, plane, handle, key=("logs", index))
-    collector.fold(log_text, package, campaign.value)
+    records = _adb_call(adb.logcat_records, device.clock, plane, handle, key=("logs", index))
+    profiler = device.runtime.telemetry.profiler
+    profiler.enter("fold")
+    collector.fold(records, package, campaign.value)
+    profiler.exit()
     _adb_call(adb.logcat_clear, device.clock, plane, handle, key=("clear", index))
     return result
 

@@ -173,7 +173,7 @@ class QGJUi:
         adb = self._device.adb
         logcat = self._device.logcat
         result = UiInjectionResult(mode=mode)
-        log_mark = len(logcat)
+        log_mark = logcat.appended
         t = self._device.runtime.telemetry
         profiler = t.profiler
         with contextlib.ExitStack() as stack:
@@ -246,16 +246,16 @@ def _is_security(throwable) -> bool:
     return "SecurityException" in type(throwable).JAVA_NAME
 
 
-def _count_app_exceptions(logcat, from_index: int) -> int:
-    """Count app-side exception log entries (handled + fatal) since a mark.
+def _count_app_exceptions(logcat, mark: int) -> int:
+    """Count app-side exception log entries (handled + fatal) still in the
+    buffer among those appended since *mark* (a :attr:`Logcat.appended`).
 
     SecurityExceptions are excluded, consistent with the paper's exception
     accounting ("some intents are reserved for privileged OS processes …
     this is the specified and secure behavior").
     """
     count = 0
-    records = list(logcat.records())[from_index:]
-    for record in records:
+    for record in logcat.records_since(mark):
         message = record.message
         if "SecurityException" in message:
             continue

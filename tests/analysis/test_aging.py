@@ -164,7 +164,7 @@ class TestReportAndIntegration:
 
     def test_real_reboot_log_shows_damage_spike(self):
         """The ambient crash-loop log should show super-threshold damage."""
-        from repro.analysis.logparse import parse_events
+        from repro.analysis.logparse import parse_events, parse_lines
         from repro.apps.builtin import AMBIENT_BINDER_PACKAGE
         from repro.apps.catalog import build_wear_corpus
         from repro.qgj.campaigns import Campaign
@@ -175,7 +175,7 @@ class TestReportAndIntegration:
         watch = WearDevice("aging-watch")
         corpus.install(watch)
         FuzzerLibrary(watch).fuzz_app(AMBIENT_BINDER_PACKAGE, Campaign.D, FuzzConfig())
-        events = parse_events(watch.adb.logcat())
+        events = parse_events(parse_lines(watch.adb.logcat()))
         samples = error_series(events)
         # Built-in crashes weigh 2.0 in the system server; the analytics use
         # 1.0 per fatal, so the spike threshold here is lower but present.

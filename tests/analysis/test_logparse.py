@@ -1,4 +1,4 @@
-"""Tests for the logcat parser."""
+"""Tests for the logcat event scan and the threadtime codec."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +10,6 @@ from repro.analysis.logparse import (
     NativeSignalEvent,
     RebootEvent,
     SecurityDenialEvent,
-    attach_handled_frames,
     parse_events,
     parse_lines,
 )
@@ -22,7 +21,40 @@ from repro.android.jtypes import (
     frame,
     sigabrt,
 )
-from repro.android.log import Logcat
+from repro.android.log import Level, LogRecord, Logcat
+
+#: Every separator ``str.splitlines`` breaks on.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+#: ``_format_time`` prints the day in two digits: day 99 ends 1,910 virtual
+#: hours after the 06-20 10:00 epoch.
+_TIME_LIMIT_MS = 1_910 * 3_600_000
+
+#: Records inside the grammar's domain: a tag without ``:``, line breaks or
+#: surrounding whitespace, a single-line message, non-negative pid and tid,
+#: a whole-millisecond time below the two-digit-day limit.
+grammar_records = st.builds(
+    LogRecord,
+    time_ms=st.integers(min_value=0, max_value=_TIME_LIMIT_MS - 1).map(float),
+    pid=st.integers(min_value=0, max_value=2**31),
+    tid=st.integers(min_value=0, max_value=2**31),
+    level=st.sampled_from(Level),
+    tag=st.text(
+        st.characters(blacklist_characters=":" + _LINE_BREAKS), min_size=1, max_size=30
+    ).filter(lambda tag: tag == tag.strip()),
+    message=st.text(st.characters(blacklist_characters=_LINE_BREAKS), max_size=120),
+)
+
+#: Any record at all: level, pid, tag and message unconstrained.
+arbitrary_records = st.builds(
+    LogRecord,
+    time_ms=st.floats(allow_nan=False, allow_infinity=False),
+    pid=st.integers(),
+    tid=st.integers(),
+    level=st.sampled_from(Level),
+    tag=st.text(max_size=30),
+    message=st.text(max_size=120),
+)
 
 
 @pytest.fixture()
@@ -30,11 +62,25 @@ def logcat():
     return Logcat(Clock())
 
 
-def events_of(logcat, kind=None):
-    events = parse_events(logcat.dump())
-    if kind is None:
-        return events
-    return [e for e in events if isinstance(e, kind)]
+def _from_records(logcat):
+    return logcat.records()
+
+
+def _from_text(logcat):
+    return parse_lines(logcat.dump())
+
+
+class ReadPath:
+    """Event tests read the log as the records ``adb`` pulls; each class has
+    a ``FromText`` twin below that reads the same log as decoded text."""
+
+    read = staticmethod(_from_records)
+
+    def events_of(self, logcat, kind=None):
+        events = parse_events(self.read(logcat))
+        if kind is None:
+            return events
+        return [e for e in events if isinstance(e, kind)]
 
 
 class TestLineParsing:
@@ -45,7 +91,7 @@ class TestLineParsing:
         assert lines[0].tag == "MyTag"
         assert lines[0].pid == 42
         assert lines[0].message == "hello world"
-        assert lines[0].level == "I"
+        assert str(lines[0].level) == "I"
 
     def test_time_round_trip(self):
         clock = Clock()
@@ -58,19 +104,29 @@ class TestLineParsing:
     def test_garbage_lines_skipped(self):
         assert list(parse_lines("not a log line\n\nanother one")) == []
 
+    @given(grammar_records)
+    @settings(max_examples=200, deadline=None)
+    def test_codec_round_trip(self, record):
+        assert list(parse_lines(record.render())) == [record]
+
     @given(st.text(max_size=500))
     @settings(max_examples=60, deadline=None)
     def test_parser_total(self, text):
-        parse_events(text)  # must never raise
+        parse_events(parse_lines(text))  # must never raise
+
+    @given(st.lists(arbitrary_records, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_parser_total_on_records(self, records):
+        parse_events(records)  # must never raise
 
 
-class TestFatalBlocks:
+class TestFatalBlocks(ReadPath):
     def test_simple_fatal(self, logcat):
         exc = NullPointerException("null deref")
         exc.frames = [frame("com.a.MainActivity", "onCreate", 10)]
         exc.with_frames(exc.frames, "activity")
         logcat.fatal_exception("com.a", 77, exc)
-        events = events_of(logcat, FatalExceptionEvent)
+        events = self.events_of(logcat, FatalExceptionEvent)
         assert len(events) == 1
         event = events[0]
         assert event.process == "com.a"
@@ -84,7 +140,7 @@ class TestFatalBlocks:
         outer = RuntimeException("Unable to start activity", cause=inner)
         outer.frames = [frame("android.app.ActivityThread", "performLaunchActivity", 2778)]
         logcat.fatal_exception("com.a", 5, outer)
-        event = events_of(logcat, FatalExceptionEvent)[0]
+        event = self.events_of(logcat, FatalExceptionEvent)[0]
         assert event.exception_chain == [
             "java.lang.RuntimeException",
             "java.lang.NullPointerException",
@@ -97,20 +153,30 @@ class TestFatalBlocks:
             exc = NullPointerException(f"crash {i}")
             exc.with_frames([frame("com.a.Main", "onCreate", 1)], "activity")
             logcat.fatal_exception("com.a", 77, exc)
-        assert len(events_of(logcat, FatalExceptionEvent)) == 2
+        assert len(self.events_of(logcat, FatalExceptionEvent)) == 2
 
     def test_fatal_messages_captured(self, logcat):
         exc = IllegalArgumentException("bad uri scheme")
         exc.with_frames([frame("com.a.Main", "onCreate", 1)], "activity")
         logcat.fatal_exception("com.a", 1, exc)
-        event = events_of(logcat, FatalExceptionEvent)[0]
+        event = self.events_of(logcat, FatalExceptionEvent)[0]
         assert event.messages[0] == "bad uri scheme"
 
+    def test_event_time_is_whole_milliseconds(self):
+        clock = Clock()
+        logcat = Logcat(clock)
+        clock.sleep(1_500.5)
+        exc = NullPointerException("x")
+        exc.with_frames([frame("com.a.Main", "onCreate", 1)], "activity")
+        logcat.fatal_exception("com.a", 1, exc)
+        (event,) = self.events_of(logcat, FatalExceptionEvent)
+        assert event.time_ms == 1_500 and isinstance(event.time_ms, int)
 
-class TestOtherEvents:
+
+class TestOtherEvents(ReadPath):
     def test_anr(self, logcat):
         logcat.anr("com.a", 5, "com.a/.Main", "blocked 9000ms")
-        events = events_of(logcat, AnrEvent)
+        events = self.events_of(logcat, AnrEvent)
         assert len(events) == 1
         assert events[0].process == "com.a"
         assert events[0].component == "com.a/.Main"
@@ -120,7 +186,7 @@ class TestOtherEvents:
         logcat.security_denial(
             0, "broadcasting protected action X from com.qgj to com.a/.Main"
         )
-        events = events_of(logcat, SecurityDenialEvent)
+        events = self.events_of(logcat, SecurityDenialEvent)
         assert len(events) == 1
         assert events[0].component == "com.a/com.a.Main"
 
@@ -129,12 +195,12 @@ class TestOtherEvents:
             0,
             "starting Intent { act=x cmp=com.a/.Main } from com.qgj not exported",
         )
-        events = events_of(logcat, SecurityDenialEvent)
+        events = self.events_of(logcat, SecurityDenialEvent)
         assert events[0].component == "com.a/com.a.Main"
 
     def test_native_signal(self, logcat):
         logcat.native_crash(sigabrt("/system/lib/libsensorservice.so", "wedged"), pid=3)
-        events = events_of(logcat, NativeSignalEvent)
+        events = self.events_of(logcat, NativeSignalEvent)
         assert len(events) == 1
         assert events[0].signal == "SIGABRT"
         assert events[0].number == 6
@@ -142,7 +208,7 @@ class TestOtherEvents:
 
     def test_reboot_marker(self, logcat):
         logcat.reboot_marker("aging collapse")
-        events = events_of(logcat, RebootEvent)
+        events = self.events_of(logcat, RebootEvent)
         assert len(events) == 1
         assert events[0].reason == "aging collapse"
 
@@ -150,7 +216,7 @@ class TestOtherEvents:
         exc = IllegalArgumentException("rejected")
         exc.frames = [frame("com.a.SyncService", "validateIntent", 31)]
         logcat.handled_exception("AppTag", 9, exc, context="rejected intent")
-        events = events_of(logcat, HandledExceptionEvent)
+        events = self.events_of(logcat, HandledExceptionEvent)
         assert len(events) == 1
         assert events[0].exception_class == "java.lang.IllegalArgumentException"
 
@@ -158,10 +224,7 @@ class TestOtherEvents:
         exc = IllegalArgumentException("rejected")
         exc.frames = [frame("com.a.SyncService", "validateIntent", 31)]
         logcat.handled_exception("AppTag", 9, exc, context="rejected intent")
-        text = logcat.dump()
-        events = parse_events(text)
-        attach_handled_frames(text, events)
-        handled = [e for e in events if isinstance(e, HandledExceptionEvent)][0]
+        handled = self.events_of(logcat, HandledExceptionEvent)[0]
         assert "com.a.SyncService" in handled.frames
 
     def test_attach_frames_separates_same_class_blocks(self, logcat):
@@ -169,21 +232,27 @@ class TestOtherEvents:
             exc = IllegalArgumentException("rejected")
             exc.frames = [frame(cls_name, "validate", 1)]
             logcat.handled_exception("AppTag", 9, exc)
-        text = logcat.dump()
-        events = parse_events(text)
-        attach_handled_frames(text, events)
-        handled = [e for e in events if isinstance(e, HandledExceptionEvent)]
+        handled = self.events_of(logcat, HandledExceptionEvent)
         assert handled[0].frames[0] == "com.a.One"
         assert handled[1].frames[0] == "com.a.Two"
 
+    def test_frames_stop_at_another_pid(self, logcat):
+        exc = IllegalArgumentException("rejected")
+        exc.frames = [frame("com.a.One", "validate", 1)]
+        logcat.handled_exception("AppTag", 9, exc)
+        logcat.w("Other", "\tat com.b.Two.run(Two.java:1)", pid=10)
+        logcat.w("AppTag", "at com.a.Three.run(Three.java:1)", pid=9)
+        (handled,) = self.events_of(logcat, HandledExceptionEvent)
+        assert handled.frames == ["com.a.One"]
+
     def test_security_exception_in_warning_not_double_counted(self, logcat):
         logcat.security_denial(0, "broadcasting protected action X to com.a/.Main")
-        events = events_of(logcat)
+        events = self.events_of(logcat)
         assert len([e for e in events if isinstance(e, SecurityDenialEvent)]) == 1
         assert len([e for e in events if isinstance(e, HandledExceptionEvent)]) == 0
 
 
-class TestMixedStream:
+class TestMixedStream(ReadPath):
     def test_interleaved_events(self, logcat):
         exc = NullPointerException("x")
         exc.with_frames([frame("com.a.Main", "onCreate", 1)], "activity")
@@ -191,6 +260,50 @@ class TestMixedStream:
         logcat.fatal_exception("com.a", 7, exc)
         logcat.anr("com.b", 8, "com.b/.Svc", "slow")
         logcat.reboot_marker("test")
-        events = events_of(logcat)
+        events = self.events_of(logcat)
         kinds = [type(e).__name__ for e in events]
         assert kinds == ["FatalExceptionEvent", "AnrEvent", "RebootEvent"]
+
+
+class TestFatalBlocksFromText(TestFatalBlocks):
+    read = staticmethod(_from_text)
+
+
+class TestOtherEventsFromText(TestOtherEvents):
+    read = staticmethod(_from_text)
+
+
+class TestMixedStreamFromText(TestMixedStream):
+    read = staticmethod(_from_text)
+
+
+class TestTruncatedRing:
+    """A ring cut through a block's head: both read paths agree on what is
+    left, and neither resurrects the lost head."""
+
+    @staticmethod
+    def _cut(logcat, head_records):
+        logcat.truncate_oldest(head_records)
+        events = parse_events(logcat.records())
+        assert parse_events(parse_lines(logcat.dump())) == events
+        return events
+
+    def test_through_a_fatal_block_head(self, logcat):
+        inner = NullPointerException("inner")
+        inner.frames = [frame("com.a.Helper", "work", 5)]
+        outer = RuntimeException("Unable to start activity", cause=inner)
+        outer.frames = [frame("com.a.Main", "onCreate", 1)]
+        logcat.fatal_exception("com.a", 7, outer)
+        logcat.anr("com.b", 8, "com.b/.Svc", "slow")
+        events = self._cut(logcat, 2)  # header and Process: line gone
+        assert not [e for e in events if isinstance(e, FatalExceptionEvent)]
+        assert [type(e) for e in events][-1] is AnrEvent
+
+    def test_through_a_handled_block_head(self, logcat):
+        for cls_name in ("com.a.One", "com.a.Two"):
+            exc = IllegalArgumentException("rejected")
+            exc.frames = [frame(cls_name, "validate", 1), frame(cls_name, "run", 2)]
+            logcat.handled_exception("AppTag", 9, exc)
+        events = self._cut(logcat, 2)  # first exception line and one frame gone
+        (handled,) = events
+        assert handled.frames == ["com.a.Two", "com.a.Two"]

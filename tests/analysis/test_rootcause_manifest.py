@@ -168,7 +168,7 @@ class TestStudyCollector:
         collector = make_collector()
         logcat = Logcat(Clock())
         self._log_crash(logcat)
-        collector.fold(logcat.dump(), "com.a", "A")
+        collector.fold(logcat.records(), "com.a", "A")
         record = collector.record_for("com.a/com.a.Main")
         assert record.crash_count == 1
         assert record.manifestation() == Manifestation.CRASH
@@ -178,7 +178,7 @@ class TestStudyCollector:
         collector = make_collector()
         logcat = Logcat(Clock())
         logcat.anr("com.a", 7, "com.a/.Svc", "blocked")
-        collector.fold(logcat.dump(), "com.a", "C")
+        collector.fold(logcat.records(), "com.a", "C")
         record = collector.record_for("com.a/com.a.Svc")
         assert record.anr_count == 1
         assert collector.app_campaign[("com.a", "C")] == Manifestation.HANG
@@ -192,7 +192,7 @@ class TestStudyCollector:
         logcat.handled_exception("T", 7, exc, context="slow path")
         clock.sleep(500)
         logcat.anr("com.a", 7, "com.a/.Svc", "blocked")
-        collector.fold(logcat.dump(), "com.a", "A")
+        collector.fold(logcat.records(), "com.a", "A")
         record = collector.record_for("com.a/com.a.Svc")
         assert record.anr_cause_classes == {"java.lang.IllegalStateException": 1}
 
@@ -200,7 +200,7 @@ class TestStudyCollector:
         collector = make_collector()
         logcat = Logcat(Clock())
         logcat.security_denial(0, "broadcasting protected action X to com.a/.Main")
-        collector.fold(logcat.dump(), "com.a", "A")
+        collector.fold(logcat.records(), "com.a", "A")
         record = collector.record_for("com.a/com.a.Main")
         assert record.security_denials == 1
         assert record.manifestation() == Manifestation.NO_EFFECT
@@ -212,7 +212,7 @@ class TestStudyCollector:
         self._log_crash(logcat)
         clock.sleep(500)
         logcat.reboot_marker("escalation")
-        collector.fold(logcat.dump(), "com.a", "D")
+        collector.fold(logcat.records(), "com.a", "D")
         record = collector.record_for("com.a/com.a.Main")
         assert record.reboot_involved
         assert record.manifestation() == Manifestation.REBOOT
@@ -229,7 +229,7 @@ class TestStudyCollector:
         self._log_crash(logcat)
         clock.sleep(60_000)
         logcat.reboot_marker("later")
-        collector.fold(logcat.dump(), "com.a", "D")
+        collector.fold(logcat.records(), "com.a", "D")
         record = collector.record_for("com.a/com.a.Main")
         assert not record.reboot_involved
         assert record.manifestation() == Manifestation.CRASH
@@ -239,7 +239,7 @@ class TestStudyCollector:
         logcat = Logcat(Clock())
         logcat.anr("com.a", 7, "com.a/.Svc", "blocked")
         self._log_crash(logcat)
-        collector.fold(logcat.dump(), "com.a", "B")
+        collector.fold(logcat.records(), "com.a", "B")
         assert collector.app_campaign[("com.a", "B")] == Manifestation.CRASH
 
     def test_security_share(self):
@@ -248,7 +248,7 @@ class TestStudyCollector:
         logcat.security_denial(0, "broadcasting protected action X to com.a/.Main")
         logcat.security_denial(0, "broadcasting protected action Y to com.a/.Svc")
         self._log_crash(logcat)
-        collector.fold(logcat.dump(), "com.a", "A")
+        collector.fold(logcat.records(), "com.a", "A")
         # 3 distinct (component, class) exceptions, 2 are SecurityException.
         assert collector.security_share() == pytest.approx(2 / 3)
 
@@ -256,7 +256,7 @@ class TestStudyCollector:
         collector = make_collector()
         logcat = Logcat(Clock())
         self._log_crash(logcat, component_cls="com.unknown.Elsewhere")
-        collector.fold(logcat.dump(), "com.a", "A")
+        collector.fold(logcat.records(), "com.a", "A")
         for record in collector.component_records():
             assert record.crash_count == 0
         # Severity still noted at app level (the segment did crash).
@@ -266,7 +266,7 @@ class TestStudyCollector:
         collector = make_collector()
         logcat = Logcat(Clock())
         self._log_crash(logcat)
-        collector.fold(logcat.dump(), "com.a", "A")
+        collector.fold(logcat.records(), "com.a", "A")
         counts = collector.manifestation_counts()
         assert counts[Manifestation.CRASH] == 1
         assert counts[Manifestation.NO_EFFECT] == 1

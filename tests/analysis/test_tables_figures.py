@@ -47,26 +47,26 @@ def collector():
     exc = NullPointerException("x")
     exc.with_frames([frame("com.health.C1", "onStartCommand", 1)], "service")
     logcat.fatal_exception("com.health", 1, exc)
-    collector.fold(logcat.dump(), "com.health", "A")
+    collector.fold(logcat.records(), "com.health", "A")
     logcat.clear()
 
     # Crash in the built-in app (campaign B).
     exc = IllegalStateException("y")
     exc.with_frames([frame("com.builtin.C0", "onCreate", 2)], "activity")
     logcat.fatal_exception("com.builtin", 2, exc)
-    collector.fold(logcat.dump(), "com.builtin", "B")
+    collector.fold(logcat.records(), "com.builtin", "B")
     logcat.clear()
 
     # Handled exception in the other app (no effect, campaign B).
     handled = IllegalArgumentException("rejected")
     handled.frames = [frame("com.other.C2", "validateIntent", 3)]
     logcat.handled_exception("T", 3, handled)
-    collector.fold(logcat.dump(), "com.other", "B")
+    collector.fold(logcat.records(), "com.other", "B")
     logcat.clear()
 
     # ANR in the other app (campaign C).
     logcat.anr("com.other", 3, "com.other/.C1", "blocked")
-    collector.fold(logcat.dump(), "com.other", "C")
+    collector.fold(logcat.records(), "com.other", "C")
     return collector
 
 

@@ -256,3 +256,28 @@ class TestDroppedAccounting:
         _, log = self.make()
         log.i("T", "a\nb\nc")
         assert log.dropped == 0
+
+
+class TestAppendedMark:
+    """``appended`` marks a point in the log that eviction, truncation and
+    clears cannot move, so "records since the mark" stays exact."""
+
+    def test_records_since_a_mark_on_a_full_ring(self):
+        log = Logcat(Clock(), capacity=4)
+        for i in range(4):
+            log.i("T", f"old{i}")
+        mark = log.appended
+        log.i("T", "new0\nnew1")  # evicts two old records
+        assert [r.message for r in log.records_since(mark)] == ["new0", "new1"]
+        log.truncate_oldest(3)  # both remaining old records and new0
+        assert [r.message for r in log.records_since(mark)] == ["new1"]
+        assert log.appended == 6
+
+    def test_clear_keeps_the_count(self):
+        log = Logcat(Clock())
+        log.i("T", "a")
+        mark = log.appended
+        log.clear()
+        log.i("T", "b")
+        assert log.appended == 2
+        assert [r.message for r in log.records_since(mark)] == ["b"]

@@ -244,6 +244,38 @@ class TestTelemetryCli:
         assert runner.main(["quick", "--telemetry", str(out), "--profile"]) == 0
         assert (out / "profile.collapsed").exists()
 
+    def test_profile_brackets_the_segment_fold(self, monkeypatch, tmp_path, capsys):
+        """Each segment's fold is a ``fold`` phase of its own, and profiling
+        leaves the report byte-identical."""
+        from repro.analysis import figures, report, tables
+        from repro.qgj.campaigns import Campaign
+
+        def small_report(name):
+            wear = runner.run_wear_study(
+                QUICK, packages=["com.cardiowatch.wear"], campaigns=(Campaign.A, Campaign.B)
+            )
+            collector = wear.collector
+            return "\n".join(
+                (
+                    report.render_table3(tables.table3_behaviors(collector)),
+                    report.render_fig3a(figures.fig3a_manifestations(collector)),
+                    report.render_reboot_postmortems(collector),
+                )
+            )
+
+        monkeypatch.setattr(runner, "full_report", small_report)
+        assert runner.main(["quick"]) == 0
+        plain = capsys.readouterr().out
+        out = tmp_path / "tele"
+        assert runner.main(["quick", "--telemetry", str(out), "--profile"]) == 0
+        profiled = capsys.readouterr().out.splitlines(keepends=True)
+        assert "".join(line for line in profiled if not line.startswith("wrote ")) == plain
+        stacks = dict(
+            line.rsplit(" ", 1) for line in (out / "profile.collapsed").read_text().splitlines()
+        )
+        assert "fold" in stacks
+        assert not any(stack.startswith("fold;") for stack in stacks)
+
     def test_sampling_session_armed_from_flag(self, monkeypatch, tmp_path):
         from repro import telemetry
 

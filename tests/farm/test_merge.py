@@ -71,7 +71,7 @@ class TestCollectorMerge:
 
     def test_single_collector_round_trips(self, universe):
         one = StudyCollector(universe)
-        one.fold("", universe[0].package, "A")
+        one.fold((), universe[0].package, "A")
         merged = StudyCollector.merge([one])
         assert merged.app_campaign == one.app_campaign
         assert merged.segments_folded == 1
@@ -79,10 +79,10 @@ class TestCollectorMerge:
 
     def test_disjoint_segments_sum(self, universe):
         left = StudyCollector(universe)
-        left.fold("", universe[0].package, "A")
+        left.fold((), universe[0].package, "A")
         right = StudyCollector(universe)
-        right.fold("", universe[1].package, "A")
-        right.fold("", universe[1].package, "B")
+        right.fold((), universe[1].package, "A")
+        right.fold((), universe[1].package, "B")
         merged = StudyCollector.merge([left, right])
         assert merged.segments_folded == 3
         assert set(merged.app_campaign) == {
@@ -93,9 +93,9 @@ class TestCollectorMerge:
 
     def test_overlapping_segments_are_rejected(self, universe):
         left = StudyCollector(universe)
-        left.fold("", universe[0].package, "A")
+        left.fold((), universe[0].package, "A")
         right = StudyCollector(universe)
-        right.fold("", universe[0].package, "A")
+        right.fold((), universe[0].package, "A")
         with pytest.raises(ValueError, match="overlapping shard results"):
             StudyCollector.merge([left, right])
 

@@ -3,19 +3,20 @@
 A fuzz-testing reproduction whose own harness crashes on weird input would
 be untrustworthy.  These hypothesis properties throw adversarial garbage at
 every public boundary -- adb shell lines, arbitrary intents, arbitrary log
-text -- and assert the harness responds with modelled outcomes (Java-style
-throwables, error results) rather than Python-level failures.
+records and text -- and assert the harness responds with modelled outcomes
+(Java-style throwables, error results) rather than Python-level failures.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.logparse import parse_events
+from repro.analysis.logparse import parse_events, parse_lines
 from repro.analysis.manifest import StudyCollector
 from repro.android.component import ComponentKind
 from repro.android.device import Device
 from repro.android.intent import ComponentName, Intent
 from repro.android.jtypes import Throwable
+from repro.android.log import Level, LogRecord
 from repro.apps.catalog import build_wear_corpus
 from repro.wear.device import WearDevice
 
@@ -35,6 +36,17 @@ def _extras(draw_values):
         st.text(min_size=1, max_size=10), draw_values, max_size=4
     )
 
+
+#: Any log record: level, pid, tag and message unconstrained.
+arbitrary_records = st.builds(
+    LogRecord,
+    time_ms=st.floats(allow_nan=False, allow_infinity=False),
+    pid=st.integers(),
+    tid=st.integers(),
+    level=st.sampled_from(Level),
+    tag=_TEXT,
+    message=st.text(max_size=120),
+)
 
 _EXTRA_VALUES = st.one_of(
     st.none(), st.text(max_size=20), st.integers(), st.floats(allow_nan=False), st.booleans()
@@ -101,7 +113,14 @@ class TestAnalysisTotality:
     @settings(max_examples=80, deadline=None)
     def test_collector_fold_never_raises(self, text):
         collector = StudyCollector(_CORPUS.packages())
-        collector.fold(text, "com.runmate.wear", "A")
+        collector.fold(parse_lines(text), "com.runmate.wear", "A")
+        assert collector.segments_folded == 1
+
+    @given(st.lists(arbitrary_records, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_collector_fold_never_raises_on_records(self, records):
+        collector = StudyCollector(_CORPUS.packages())
+        collector.fold(records, "com.runmate.wear", "A")
         assert collector.segments_folded == 1
 
     @given(st.lists(st.text(max_size=120), max_size=20))
@@ -116,7 +135,7 @@ class TestAnalysisTotality:
             if i < len(noise):
                 merged.append(noise[i])
         text = "\n".join(merged)
-        assert parse_events(text) == parse_events(text)
+        assert parse_events(parse_lines(text)) == parse_events(parse_lines(text))
 
 
 class TestSeverityInvariants:
@@ -139,7 +158,7 @@ class TestSeverityInvariants:
                 fuzzer.fuzz_app(package, campaign, FuzzConfig(
                     strides={Campaign.A: 12, Campaign.B: 1, Campaign.C: 2, Campaign.D: 1}
                 ))
-                collector.fold(adb.logcat(), package, campaign.value)
+                collector.fold(adb.logcat_records(), package, campaign.value)
                 adb.logcat_clear()
         for (package, campaign), severity in collector.app_campaign.items():
             component_max = max(

@@ -153,7 +153,7 @@ class TestCorrelation:
                     campaign,
                     FuzzConfig(strides={Campaign.A: 12, Campaign.B: 1, Campaign.C: 2, Campaign.D: 1}),
                 )
-                collector.fold(adb.logcat(), package, campaign.value)
+                collector.fold(adb.logcat_records(), package, campaign.value)
                 adb.logcat_clear()
         result = correlate(lint_device(watch), collector)
         assert result.crashed_components > 0

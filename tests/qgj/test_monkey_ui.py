@@ -1,9 +1,13 @@
 """Tests for the Monkey event generator and QGJ-UI."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.catalog import build_wear_corpus, emulator_packages
+from repro.experiments.config import QUICK
+from repro.experiments.ui_experiment import run_ui_study
 from repro.qgj.monkey import (
     EVENT_KINDS,
     EVENT_SCHEMAS,
@@ -190,3 +194,16 @@ class TestQGJUi:
         results = QGJUi(emulator, seed=3).run(300)
         text = render_table5(results)
         assert "semi-valid" in text and "random" in text
+
+    def test_app_exceptions_counted_on_a_full_ring(self):
+        """At quick scale the semi-valid replay logs ~800 records and the
+        random one ~80.  With a 200-record ring, the ring is full when the
+        random replay starts and evicts as it logs, yet keeps every record
+        that replay appends: its count must match the unbounded ring's.
+        The semi-valid replay outgrows the ring, and what was evicted
+        cannot be counted."""
+        clean = run_ui_study(QUICK).results
+        capped = run_ui_study(dataclasses.replace(QUICK, logcat_capacity=200)).results
+        rand, semi = MutationMode.RANDOM, MutationMode.SEMI_VALID
+        assert capped[rand].app_exceptions == clean[rand].app_exceptions > 0
+        assert 0 < capped[semi].app_exceptions < clean[semi].app_exceptions
