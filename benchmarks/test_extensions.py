@@ -27,7 +27,15 @@ def test_evolution_table_regenerates(benchmark, wear, phone):
 
 
 def test_lint_correlation_regenerates(benchmark, wear):
-    findings = lint_device(wear.watch)
+    from repro.android.runtime import RuntimeContext
+    from repro.farm import plan_shards
+    from repro.farm.shard import _build_rig
+
+    # Lint reads the installed packages, so a fresh rig of the study's
+    # recipe stands in for the watch the study fuzzed.
+    spec = plan_shards("wear", wear.config, [wear.summary.apps[-1].package], ())[0]
+    _, fuzzer = _build_rig(spec, RuntimeContext(), None)
+    findings = lint_device(fuzzer.device)
     result = benchmark(correlate, findings, wear.collector)
     print()
     print(render_report(findings, limit=6))

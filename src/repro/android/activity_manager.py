@@ -369,17 +369,6 @@ class ActivityManager:
         """Drop live component instances (used across reboots)."""
         self._live.clear()
 
-    def __getstate__(self) -> dict:
-        # Telemetry never survives a pickle (same contract as Logcat and
-        # RuntimeContext): cached bound handles would smuggle the live
-        # registry into checkpoint snapshots.  They re-resolve on use.
-        state = self.__dict__.copy()
-        state["_dispatch_registry"] = None
-        state["_dispatch_handles"] = {}
-        state["_h_start_activity"] = None
-        state["_h_start_service"] = None
-        return state
-
     # -- resolution ---------------------------------------------------------------
     def _resolve_activity(self, intent: Intent) -> Optional[ComponentInfo]:
         if intent.component is not None:

@@ -52,14 +52,6 @@ class IBinder:
                 self._transaction_handles[outcome] = handle
             handle.pending += 1
 
-    def __getstate__(self) -> dict:
-        # Telemetry never survives a pickle: cached bound handles would
-        # smuggle the live registry into checkpoint snapshots.
-        state = self.__dict__.copy()
-        state["_bound_registry"] = None
-        state["_transaction_handles"] = {}
-        return state
-
     @property
     def owner(self) -> ProcessRecord:
         return self._owner

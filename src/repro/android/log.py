@@ -284,16 +284,6 @@ class Logcat:
             _DROPPED_SITE.bind(t.metrics).inc(count)
             _BUFFERED_SITE.bind(t.metrics).set(len(self._records))
 
-    def __getstate__(self) -> dict:
-        # Telemetry never survives a pickle (same contract as
-        # RuntimeContext): bound handles would smuggle registry children
-        # into checkpoint snapshots.  They re-resolve on first write.
-        state = self.__dict__.copy()
-        state["_bound_registry"] = None
-        state["_written_handle"] = None
-        state["_buffered_handle"] = None
-        return state
-
     def clear(self) -> None:
         self._records.clear()
         self._dropped = 0

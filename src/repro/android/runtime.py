@@ -19,21 +19,10 @@ module -- for its plane:
   device tree to a scoped :class:`~repro.faults.plane.FaultPlane` and
   :class:`~repro.telemetry.Telemetry`, regardless of process-wide state.
 
-Contexts pickle *empty*: the fault plane keys execution state by
-``id(clock)`` (stale after unpickle) and a live telemetry handle may hold
-unpicklable heartbeat listeners, so a checkpoint snapshot never carries
-either.  Whoever restores the snapshot rebinds explicitly (see
-``repro.farm.shard``); an unrestored context simply falls back to the
-process-wide handles.
+A context is bound once, at construction, and never rebound.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only imports
-    from repro.faults.plane import FaultPlane
-    from repro.telemetry import Telemetry
 
 # The process-wide getters, resolved lazily (importing repro.faults or
 # repro.telemetry at module scope would be circular) and then cached: the
@@ -76,31 +65,6 @@ class RuntimeContext:
         if _telemetry_get is None:
             _resolve_getters()
         return _telemetry_get()
-
-    # -- binding -----------------------------------------------------------------
-    def bind_faults(self, plane: Optional["FaultPlane"]) -> None:
-        """Pin (or with ``None`` unpin) the fault plane for this tree."""
-        self._fault_plane = plane
-
-    def bind_telemetry(self, handle: Optional["Telemetry"]) -> None:
-        """Pin (or with ``None`` unpin) the telemetry handle for this tree."""
-        self._telemetry = handle
-
-    @property
-    def bound(self) -> bool:
-        return self._fault_plane is not None or self._telemetry is not None
-
-    # -- pickling ----------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        # Handles never survive a pickle: plane execution state is keyed by
-        # id(clock) and telemetry may hold unpicklable listeners.  Shared
-        # identity across one device tree *is* preserved (pickle memo), so a
-        # restored tree can be rebound through any one reference.
-        return {}
-
-    def __setstate__(self, state: dict) -> None:
-        self._fault_plane = None
-        self._telemetry = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         bound = []

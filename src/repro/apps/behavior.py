@@ -336,7 +336,7 @@ class SpecFactory:
     """Picklable component factory bound to one :class:`BehaviorSpec`.
 
     A class (rather than a closure) so activity managers holding factories
-    survive the chaos plane's checkpoint snapshots.
+    stay picklable.
     """
 
     def __init__(self, spec: BehaviorSpec) -> None:

@@ -147,8 +147,7 @@ def register_health_factories(activity_manager, wedge_deliveries: int = 25) -> d
     """Register the custom health components; returns their behavior keys.
 
     Factories are module-level callables (plus a :func:`functools.partial`
-    for the wedge threshold) so the activity manager stays picklable for
-    checkpoint snapshots.
+    for the wedge threshold) so the activity manager holds no closures.
     """
     keys = {
         "heart_rate_service": "health.pulsetrack.tracker",

@@ -32,7 +32,6 @@ from repro.farm import (
 )
 from repro.qgj.campaigns import Campaign
 from repro.qgj.results import FuzzSummary
-from repro.wear.device import PhoneDevice
 
 
 @dataclasses.dataclass
@@ -40,7 +39,6 @@ class PhoneStudyResult:
     collector: StudyCollector
     summary: FuzzSummary
     corpus: Corpus
-    phone: PhoneDevice
     config: ExperimentConfig
     shard_clock_ms: Tuple[float, ...] = ()
     #: Per-shard supervision account (attempts, outcomes, dropped coverage).
@@ -89,7 +87,6 @@ def run_phone_study(
         collector=merge_collectors(results),
         summary=merge_summaries(results),
         corpus=corpus,
-        phone=results[-1].phone,
         config=config,
         shard_clock_ms=tuple(result.clock_ms for result in results),
         health=health,

@@ -195,10 +195,12 @@ options:
   --lanes M        cooperative schedulers per fleet, each multiplexing its
                    strided share of the pairs (default: 1; requires
                    --fleet; output is packing-invariant)
-  --journal FILE   checkpoint the wear study to FILE after every
-                   (package, campaign) segment; prints the study summary
-  --resume FILE    resume a journalled wear study; reproduces the summary
-                   the uninterrupted run would have produced
+  --journal FILE   checkpoint the wear study to FILE: each shard's journal
+                   holds a header and, once the shard finishes, its
+                   result; prints the study summary
+  --resume FILE    resume a journalled wear study: load the finished
+                   shards and re-run the rest; reproduces the summary the
+                   uninterrupted run would have produced
   --kill-after N   simulate the host dying after N injections study-wide
                    (exit 3, resumable from the journal; at --workers N > 1
                    the counter is shared across all workers)
@@ -218,7 +220,7 @@ options:
                    any --workers count).  Composes with the chaos flags
                    (--fault-seed / --service-fault-seed / --compat-skew);
                    stays incompatible with --journal/--resume (guided
-                   rounds re-shard dynamically, so segment journals have
+                   rounds re-shard dynamically, so shard journals have
                    no stable identity to resume), with --kill-after (it
                    rides the journal), with --json (the guided report
                    has its own format), and with --allow-partial (a round

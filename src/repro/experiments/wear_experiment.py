@@ -41,7 +41,6 @@ from repro.farm import (
 )
 from repro.qgj.campaigns import Campaign
 from repro.qgj.results import FuzzSummary
-from repro.wear.device import PhoneDevice, WearDevice
 
 
 @dataclasses.dataclass
@@ -51,8 +50,6 @@ class WearStudyResult:
     collector: StudyCollector
     summary: FuzzSummary
     corpus: Corpus
-    watch: WearDevice
-    phone: PhoneDevice
     config: ExperimentConfig
     #: Final virtual-clock reading of every shard, in shard order.  The
     #: study's virtual time is their sum: each clock advance (pacing,
@@ -71,9 +68,7 @@ class WearStudyResult:
         return self.summary.total_sent
 
     def virtual_hours(self) -> float:
-        if self.shard_clock_ms:
-            return sum(self.shard_clock_ms) / 3_600_000.0
-        return self.watch.clock.now_ms() / 3_600_000.0
+        return sum(self.shard_clock_ms) / 3_600_000.0
 
 
 def run_wear_study(
@@ -91,15 +86,16 @@ def run_wear_study(
     """Run the complete wearable fuzzing study.
 
     With *journal_path*, a study manifest plus one checkpoint journal per
-    shard record every completed ``(package, campaign)`` segment durably; a
-    later call with ``resume=True`` (same config, fault plan, and worker
-    count) picks up each shard at its last completed segment and -- because
-    every shard is deterministic on its own virtual clock -- produces the
-    identical final summary.  *kill_after_injections* arms a kill switch
-    that raises :class:`~repro.faults.errors.CampaignKilled` mid-campaign,
-    simulating the host dying (used by the resume tests and the CI chaos
-    smoke); at ``workers>1`` the count is shared across worker processes,
-    so "after N injections" means N study-wide at any worker count.
+    shard record each shard's header and, once the shard finishes, its
+    result; a later call with ``resume=True`` (same config, fault plan, and
+    worker count) loads the finished shards, re-runs the rest, and --
+    because every shard is deterministic on its own seed and virtual clock
+    -- produces the identical final summary.  *kill_after_injections* arms
+    a kill switch that raises :class:`~repro.faults.errors.CampaignKilled`
+    mid-campaign, simulating the host dying (used by the resume tests and
+    the CI chaos smoke); at ``workers>1`` the count is shared across worker
+    processes, so "after N injections" means N study-wide at any worker
+    count.
 
     *shard_timeout* (seconds), *max_shard_attempts*, and *allow_partial*
     tune the supervised executor at ``workers>1``: a shard that misses its
@@ -154,13 +150,10 @@ def run_wear_study(
         max_shard_attempts=max_shard_attempts,
         allow_partial=allow_partial,
     )
-    last = results[-1]
     return WearStudyResult(
         collector=merge_collectors(results),
         summary=merge_summaries(results),
         corpus=corpus,
-        watch=last.watch,
-        phone=last.phone,
         config=config,
         shard_clock_ms=tuple(result.clock_ms for result in results),
         health=health,

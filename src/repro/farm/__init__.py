@@ -27,8 +27,8 @@ evidence.  This package is that farm for the simulator:
   behind :func:`drive_study`: ``workers=1`` runs shards sequentially
   in-process (deterministic reference path, live telemetry, kill-switch
   support); ``workers>1`` adds per-shard deadlines and heartbeat
-  liveness, bounded bit-identical retries (journalled shards resume from
-  their checkpoint), poison quarantine with an explicit
+  liveness, bounded bit-identical retries (a journalled shard that
+  finished returns its result record), poison quarantine with an explicit
   :class:`~repro.farm.health.StudyHealthReport`, a shared ``--kill-after``
   switch, and graceful SIGINT/SIGTERM drain;
 * :mod:`repro.farm.health` -- the supervision vocabulary: attempt/shard

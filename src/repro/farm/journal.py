@@ -1,7 +1,7 @@
 """The study manifest: one journal header over per-shard checkpoint files.
 
-A sharded study cannot checkpoint into a single journal -- shards finish
-segments concurrently and each owns its own snapshot.  Instead the manifest
+A sharded study cannot checkpoint into a single journal -- shards run
+concurrently and each records its own result.  Instead the manifest
 file (the path the operator passes to ``--journal``) records the study-wide
 facts once -- config, fault-plan fingerprint, package list, campaigns, and
 the worker count -- plus the shard table mapping each shard to its own
@@ -11,10 +11,9 @@ Resume validation happens here, before any shard is spawned: a journal
 recorded under a different config, a different fault plan, or a different
 ``--workers`` count is rejected with an error saying exactly what to change.
 The worker count is part of the contract not for determinism (results are
-worker-count independent) but because a kill under ``workers=1`` may leave
-a shared kill-switch mid-shard state that a parallel resume could not have
-produced, and silently resuming under different parallelism would make the
-wall-clock bookkeeping in the bench artifacts lie.
+worker-count independent) but because silently resuming under different
+parallelism would make the wall-clock bookkeeping in the bench artifacts
+lie.
 """
 
 from __future__ import annotations

@@ -68,7 +68,7 @@ def plan_shards(
     """Build the full shard plan for one study.
 
     An empty *packages* still yields one (empty) shard, so a degenerate
-    study produces devices and an empty summary exactly as the serial
+    study builds its rig and returns an empty summary exactly as the serial
     harness did.  *manifest* (a :class:`~repro.farm.journal.StudyManifest`)
     assigns each shard its per-shard journal path.  The telemetry fields
     stay at their defaults: :func:`~repro.farm.pool.drive_study` stamps

@@ -17,12 +17,12 @@ is one segment of the rhythm.  The wear and phone studies share one
 blind-shard body around that step, the guided shard reuses the recipe, and
 the ablations call the step directly.
 
-Checkpointing is per shard: each shard keeps its own
-:class:`~repro.faults.journal.CheckpointJournal` segment file and snapshot
-under the study manifest, and resuming a shard restores the snapshot,
-rebinds the (deliberately unpickled) :class:`RuntimeContext`, and adopts
-the fault plan's execution stream -- the same capture/adopt dance the
-serial harness used, now scoped to one device tree.
+Checkpointing is per shard and holds results, never devices: a journalled
+shard writes its :class:`~repro.faults.journal.CheckpointJournal` header
+when it starts and one result record once its last segment folds.  A
+resumed shard that finished returns that record; any other shard re-runs
+from :func:`_build_rig`, which is exact because the shard is deterministic
+on its own seed and clock.
 """
 
 from __future__ import annotations
@@ -69,17 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - avoids the experiments<->farm cycle
 #: segments); injection-side retries are the fuzzer's own policy.
 LOG_PULL_RETRY = RetryPolicy(max_attempts=6, base_delay_ms=200.0, max_delay_ms=5_000.0)
 
-#: Snapshot payload format version (bumped on incompatible layout changes).
-#: Version 2: per-shard snapshots; the class-global pid watermark is gone
-#: (pids are allocated per device) and the runtime context pickles empty.
-#: Version 3: PlanExecution carries OS-service/compat state (outage windows,
-#: pending corruptions and compat manifestations); older pickles lack the
-#: attributes and cannot resume under the widened fault model.
-#: Version 4: Logcat counts every record it ever appended (``appended``);
-#: older pickles lack the counter.
-SNAPSHOT_VERSION = 4
-
-
 @dataclasses.dataclass(frozen=True)
 class ShardSpec:
     """Everything a worker needs to run one shard, picklable by design."""
@@ -123,8 +112,6 @@ class ShardResult:
     key: str
     summary: FuzzSummary
     collector: StudyCollector
-    watch: Optional[WearDevice]
-    phone: Optional[PhoneDevice]
     clock_ms: float
     #: Telemetry captured by a worker-local handle; ``None``/empty when the
     #: shard ran in-process against the live handle (nothing to merge).
@@ -256,16 +243,6 @@ def run_shard(
     return result
 
 
-def _load_shard_state(journal: CheckpointJournal):
-    state = journal.load_state()
-    if state is not None and state.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"snapshot {journal.state_path} has version {state.get('version')}, "
-            f"expected {SNAPSHOT_VERSION}"
-        )
-    return state
-
-
 def _crash_policy(spec: ShardSpec) -> Optional[CrashPolicy]:
     """The shard's crash injection, spec field first, then the env hook."""
     if spec.crash is not None:
@@ -280,15 +257,14 @@ def _beat(heartbeat: Optional[WorkerHeartbeat]) -> None:
 
 def _build_rig(
     spec: ShardSpec, runtime: RuntimeContext, kill_switch: Optional[KillSwitch]
-) -> Tuple["Corpus", Optional[WearDevice], PhoneDevice, FuzzerLibrary]:
+) -> Tuple["Corpus", FuzzerLibrary]:
     """The paper's device recipe, fresh on a virtual clock at zero.
 
     Wear and guided shards get a Moto 360 paired with a Nexus 4, the wear
     corpus installed on the watch and QGJ deployed on both devices (built
     in that order: watch, phone, pair, install, deploy).  Phone shards get
-    a lone Nexus 6 with the ``com.android.*`` corpus.  Returns the corpus,
-    the watch (``None`` for the phone study), the phone, and a fuzzer
-    bound to the fuzzed device.
+    a lone Nexus 6 with the ``com.android.*`` corpus.  Returns the corpus
+    and a fuzzer bound to the fuzzed device (``fuzzer.device``).
     """
     config = spec.config
     if spec.study == "phone":
@@ -303,7 +279,7 @@ def _build_rig(
         fuzzer = FuzzerLibrary(
             phone, sender_package=QGJ_MOBILE_PACKAGE, kill_switch=kill_switch
         )
-        return corpus, None, phone, fuzzer
+        return corpus, fuzzer
     corpus = build_wear_corpus(seed=config.corpus_seed)
     watch = WearDevice("moto360", logcat_capacity=config.logcat_capacity, runtime=runtime)
     phone = PhoneDevice("nexus4", model="LG Nexus 4", runtime=runtime)
@@ -311,7 +287,7 @@ def _build_rig(
     corpus.install(watch)
     deploy(phone, watch)  # QGJ on both devices, as in the paper's setup
     fuzzer = FuzzerLibrary(watch, sender_package=QGJ_WEAR_PACKAGE, kill_switch=kill_switch)
-    return corpus, watch, phone, fuzzer
+    return corpus, fuzzer
 
 
 @contextlib.contextmanager
@@ -329,117 +305,57 @@ def _study_span(spec: ShardSpec, handle: Telemetry, clock, heartbeat):
         yield
 
 
-def _shard_result(spec, summary, collector, watch, phone, **extra) -> ShardResult:
-    device = watch if watch is not None else phone
-    return ShardResult(
-        index=spec.index,
-        key=spec.key,
-        summary=summary,
-        collector=collector,
-        watch=watch,
-        phone=phone,
-        clock_ms=device.clock.now_ms(),
-        **extra,
-    )
-
-
 def _run_blind_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attempt) -> ShardResult:
     """A wear or phone shard: every ``(package, campaign)`` segment in order.
 
-    With a journal, each completed segment is appended and the whole shard
-    state snapshotted, so a resumed shard continues after its last durable
-    segment on the restored device tree.
+    With a journal, the shard writes its header when it starts and its
+    result record once the last segment folds.  On resume, a finished
+    shard returns that record; an unfinished one re-runs from a fresh rig.
     """
-    config = spec.config
-    crash = _crash_policy(spec)
     journal = (
         CheckpointJournal(spec.journal_path) if spec.journal_path is not None else None
     )
-    segments = [(p, c) for p in spec.packages for c in spec.campaigns]
-    state = None
     if spec.resume and journal is not None:
-        state = _load_shard_state(journal)
-
-    if state is not None:
-        # Owning-writer resume: this shard appends segment records below,
-        # so a tail torn by the kill must be truncated off first.
-        journal.repair()
-        watch = state["watch"]
-        phone = state["phone"]
-        corpus = state["corpus"]
-        collector = state["collector"]
-        summary = state["summary"]
-        fuzzer = state["fuzzer"]
-        device = fuzzer.device
-        # The device tree unpickles with an empty RuntimeContext (shared
-        # across the tree by the pickle memo); rebind it to this shard's
-        # scoped plane and handle, then adopt the captured fault stream.
-        device.runtime.bind_faults(plane)
-        device.runtime.bind_telemetry(handle)
-        plane.adopt(device.clock, state["plane"])
-        fuzzer.kill_switch = kill_switch
-        start_index = state["index"]
-        if start_index >= len(segments):
-            # The shard had already completed when the study was killed:
-            # its snapshot *is* the result, no segment needs re-running.
-            return _shard_result(spec, summary, collector, watch, phone)
-    else:
-        corpus, watch, phone, fuzzer = _build_rig(spec, runtime, kill_switch)
-        device = fuzzer.device
-        collector = StudyCollector(corpus.packages())
-        summary = FuzzSummary(device=device.name)
-        start_index = 0
-        if journal is not None:
-            # Also on resume-with-no-snapshot: the kill landed before this
-            # shard's first checkpoint, so it restarts from scratch.
-            journal.start(
-                {
-                    "config": config.name,
-                    "shard": spec.key,
-                    "index": spec.index,
-                    "fault_fingerprint": plane.fingerprint(),
-                    "packages": list(spec.packages),
-                    "campaigns": [campaign.value for campaign in spec.campaigns],
-                }
-            )
-        # Only a fresh device starts with a clear: a resumed one was
-        # cleared after its last checkpointed segment.
-        _adb_call(device.adb.logcat_clear, device.clock, plane, handle, key=("clear", -1))
-
+        record = journal.load_state()
+        if record is not None:
+            if not isinstance(record, ShardResult) or record.key != spec.key:
+                raise ValueError(
+                    f"{journal.state_path} is not a result record of shard {spec.key!r}"
+                )
+            return record
+    config = spec.config
+    crash = _crash_policy(spec)
+    corpus, fuzzer = _build_rig(spec, runtime, kill_switch)
+    device = fuzzer.device
+    collector = StudyCollector(corpus.packages())
+    summary = FuzzSummary(device=device.name)
+    if journal is not None:
+        journal.start(
+            {
+                "config": config.name,
+                "shard": spec.key,
+                "index": spec.index,
+                "fault_fingerprint": plane.fingerprint(),
+                "packages": list(spec.packages),
+                "campaigns": [campaign.value for campaign in spec.campaigns],
+            }
+        )
+    _adb_call(device.adb.logcat_clear, device.clock, plane, handle, key=("clear", -1))
+    segments = [(p, c) for p in spec.packages for c in spec.campaigns]
     with _study_span(spec, handle, device.clock, heartbeat):
-        for index in range(start_index, len(segments)):
-            package_name, campaign = segments[index]
+        for index, (package_name, campaign) in enumerate(segments):
             if crash is not None and crash.triggers(attempt, index):
                 crash.fire(spec.key, attempt, index)
-            app_result = run_segment(
-                fuzzer, collector, package_name, campaign, config.fuzz, plane, handle, index
+            summary.apps.append(
+                run_segment(
+                    fuzzer, collector, package_name, campaign, config.fuzz, plane, handle, index
+                )
             )
-            summary.apps.append(app_result)
-            if journal is not None:
-                journal.append(
-                    {
-                        "type": "segment",
-                        "index": index,
-                        "package": package_name,
-                        "campaign": campaign.value,
-                        "sent": app_result.sent,
-                    }
-                )
-                journal.save_state(
-                    {
-                        "version": SNAPSHOT_VERSION,
-                        "index": index + 1,
-                        "watch": watch,
-                        "phone": phone,
-                        "corpus": corpus,
-                        "collector": collector,
-                        "summary": summary,
-                        "fuzzer": fuzzer,
-                        "plane": plane.capture(device.clock),
-                    }
-                )
             _beat(heartbeat)
-    return _shard_result(spec, summary, collector, watch, phone)
+    result = ShardResult(spec.index, spec.key, summary, collector, device.clock.now_ms())
+    if journal is not None:
+        journal.save_state(result)
+    return result
 
 
 def _run_guided_shard(spec, handle, runtime, kill_switch, heartbeat, attempt) -> ShardResult:
@@ -458,18 +374,19 @@ def _run_guided_shard(spec, handle, runtime, kill_switch, heartbeat, attempt) ->
     if spec.journal_path is not None:
         raise ValueError("the guided study does not support checkpoint journals")
     crash = _crash_policy(spec)
-    corpus, watch, phone, fuzzer = _build_rig(spec, runtime, kill_switch)
+    corpus, fuzzer = _build_rig(spec, runtime, kill_switch)
+    watch = fuzzer.device
     if crash is not None and crash.triggers(attempt, 0):
         crash.fire(spec.key, attempt, 0)
     with _study_span(spec, handle, watch.clock, heartbeat):
         outcomes = run_guided_blocks(fuzzer, spec.guided, spec.config.fuzz)
     _beat(heartbeat)
-    return _shard_result(
-        spec,
+    return ShardResult(
+        spec.index,
+        spec.key,
         FuzzSummary(device=watch.name),
         StudyCollector(corpus.packages()),
-        watch,
-        phone,
+        watch.clock.now_ms(),
         guided=outcomes,
     )
 
@@ -504,8 +421,6 @@ def _run_fleet_shard(spec, handle, kill_switch, heartbeat, attempt) -> ShardResu
         key=spec.key,
         summary=FuzzSummary(device=spec.key),
         collector=StudyCollector([]),
-        watch=None,
-        phone=None,
         clock_ms=sum(s.clock_ms for s in summaries),
         fleet=summaries,
     )

@@ -20,8 +20,8 @@ at OS scale):
 * **retry** -- a failed shard is re-dispatched up to ``max_attempts``
   times.  This is safe because :func:`~repro.farm.shard.run_shard` is a
   pure function of its spec -- a retry is bit-identical -- and journalled
-  shards retry with ``resume=True``, continuing from their last durable
-  checkpoint instead of restarting;
+  shards retry with ``resume=True``, so a shard that finished before its
+  worker died returns its result record instead of running again;
 * **poison quarantine** -- a shard that fails every attempt is quarantined
   and the study completes anyway, with the dropped coverage itemized in
   the :class:`~repro.farm.health.StudyHealthReport`;
@@ -340,9 +340,8 @@ class _Supervisor:
     def _dispatch(self, position: int, attempt: int):
         spec = self._specs[position]
         if attempt > 1 and spec.journal_path is not None:
-            # The journal holds every segment the dead attempt completed;
-            # resuming from it is both faster and (by the resume-identity
-            # property) bit-identical to restarting.
+            # A dead attempt may have finished and recorded its result;
+            # resume returns that record, and otherwise re-runs the shard.
             spec = dataclasses.replace(spec, resume=True)
         beat_value = self._ctx.Value("d", time.monotonic())
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)

@@ -1,30 +1,29 @@
-"""Crash-safe checkpoint journal: append-only JSONL plus a state snapshot.
+"""Crash-safe checkpoint journal: append-only JSONL plus a result record.
 
 HypoFuzz-style harnesses treat a long campaign as a resumable,
 database-backed process rather than a one-shot run; this module is that
 database, scaled to the simulator.  Two files:
 
-* ``<journal>`` -- append-only JSONL.  First record is a header binding the
-  run to its configuration and fault-plan fingerprint; each subsequent
-  record marks one completed ``(package, campaign)`` segment with its
-  serialized results.  Every append is flushed and fsynced, so after a kill
-  the journal holds exactly the completed segments.  A torn final line
-  (the crash landed mid-write) is dropped from the parse, with the
-  recovered byte count noted on the returned header record; the owning
-  writer's resume path additionally truncates it away (:meth:`repair`)
-  before appending again, while readers leave the file untouched.
-* ``<journal>.state`` -- a pickled snapshot of the full simulator state at
-  the last completed segment boundary, written atomically (temp file,
-  fsync, ``os.replace``).  Resume loads it and continues as if the kill
-  never happened; because the simulation is deterministic on the virtual
-  clock, the resumed run's remaining segments -- and therefore the final
-  summary -- are identical to an uninterrupted run's.
+* ``<journal>`` -- append-only JSONL.  The first record is a header binding
+  the run to its configuration and fault-plan fingerprint.  Whatever
+  follows is the owner's business: a fleet lane appends one record per
+  finished pair, the service WAL one per study transition.  Every append
+  is flushed and fsynced, so after a kill the file holds exactly the
+  durable records.  A torn final line (the crash landed mid-write) is
+  dropped from the parse, with the recovered byte count noted on the
+  returned header record; the owning writer's resume path additionally
+  truncates it away (``load(..., truncate=True)``) before appending again,
+  while readers leave the file untouched.
+* ``<journal>.state`` -- one pickled record, written atomically (temp file,
+  fsync, ``os.replace``).  A farm shard writes its result here once its
+  last segment folds, never a device tree.
 
-The journal is the source of truth for *what completed*; the snapshot for
-*where to continue from*.  If the snapshot is older than the journal's last
-segment (a kill between the append and the snapshot replace), resume falls
-back to the snapshot's index -- re-running a completed segment from its
-boundary state reproduces its recorded results exactly.
+The rule for a study shard: its journal holds a header and, once the shard
+finishes, its result.  Resume loads the finished shards and re-runs the
+rest from scratch; each shard is deterministic on its own seed and virtual
+clock, so the resumed study's summary is identical to an uninterrupted
+run's.  A kill mid-write leaves at most a stray ``.state.tmp``, which is
+never read.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ class SharedKillSwitch:
 
 
 class CheckpointJournal:
-    """One campaign's append-only journal and snapshot pair."""
+    """One append-only journal and its result record."""
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
@@ -152,9 +151,9 @@ class CheckpointJournal:
         mistook for a torn tail would destroy a record the writer is
         about to fsync.  Only the journal's *owning writer*, on its own
         recovery path where no concurrent append can exist, passes
-        ``truncate=True`` (or calls :meth:`repair`) to cut the file back
-        to its durable prefix before appending again (best-effort -- a
-        read-only filesystem just skips the truncation).
+        ``truncate=True`` to cut the file back to its durable prefix
+        before appending again (best-effort -- a read-only filesystem just
+        skips the truncation).
         """
         records: List[Dict[str, Any]] = []
         with open(path, "rb") as fh:
@@ -193,27 +192,12 @@ class CheckpointJournal:
             records[0]["recovered_bytes"] = recovered
         return records
 
-    def repair(self) -> int:
-        """Truncate a torn final line; returns the bytes dropped (0 if clean).
-
-        Owner-only: call this exactly where the next append would land
-        after a crash -- the writer's own resume path -- never from a
-        reader, which may be observing a live writer's in-flight append.
-        """
-        if not os.path.exists(self.path):
-            return 0
-        records = self.load(self.path, truncate=True)
-        return int(records[0].get("recovered_bytes", 0))
-
     def header(self) -> Dict[str, Any]:
         return self.load(self.path)[0]
 
-    def segments(self) -> List[Dict[str, Any]]:
-        return [r for r in self.load(self.path) if r.get("type") == "segment"]
-
-    # -- state snapshot -----------------------------------------------------------
+    # -- result record ------------------------------------------------------------
     def save_state(self, payload: Any) -> None:
-        """Atomically replace the snapshot (temp file + fsync + rename)."""
+        """Atomically replace the record (temp file + fsync + rename)."""
         tmp = self.state_path + ".tmp"
         with open(tmp, "wb") as fh:
             pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
@@ -222,6 +206,7 @@ class CheckpointJournal:
         os.replace(tmp, self.state_path)
 
     def load_state(self) -> Optional[Any]:
+        """The record, or ``None`` if none was written."""
         if not os.path.exists(self.state_path):
             return None
         with open(self.state_path, "rb") as fh:

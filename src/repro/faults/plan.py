@@ -10,7 +10,7 @@ Execution state lives in :class:`PlanExecution`, one per device clock: the
 per-kind RNG streams and "next fire time" cursors.  Everything is scheduled
 on the *virtual* clock, so a faulty run is exactly replayable -- same seed,
 same clock trajectory, same faults -- and execution state is plain picklable
-data, so a checkpoint snapshot freezes the fault schedule mid-stream.
+data.
 
 The fault taxonomy follows Cotroneo et al.'s OS/IPC fault dimensions mapped
 onto this simulator:

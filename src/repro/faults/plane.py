@@ -31,8 +31,7 @@ android hook sites: the android layer never imports :mod:`repro.faults`
 calls plane methods with plain service-name strings.
 
 Execution state is kept *per device clock* so paired devices (watch and
-phone) each see an independent, deterministic schedule, and a checkpoint
-snapshot can capture/adopt one device's stream mid-run.
+phone) each see an independent, deterministic schedule.
 """
 
 from __future__ import annotations
@@ -154,20 +153,6 @@ class FaultPlane:
             self._executions[id(clock)] = execution
             self._clocks[id(clock)] = clock
         return execution
-
-    def capture(self, clock: "Clock") -> PlanExecution:
-        """The (picklable) schedule state for *clock*, for checkpointing."""
-        return self.execution_for(clock)
-
-    def adopt(self, clock: "Clock", execution: PlanExecution) -> None:
-        """Install restored schedule state for *clock* (checkpoint resume)."""
-        if execution.plan.fingerprint() != self.plan.fingerprint():
-            raise ValueError(
-                "cannot adopt execution state from a different fault plan: "
-                f"{execution.plan.fingerprint()!r} != {self.plan.fingerprint()!r}"
-            )
-        self._executions[id(clock)] = execution
-        self._clocks[id(clock)] = clock
 
     def fingerprint(self) -> str:
         return self.plan.fingerprint()
@@ -374,17 +359,6 @@ class NoopPlane:
 
     def fingerprint(self) -> str:
         return "none"
-
-    def capture(self, clock: "Clock") -> None:
-        return None
-
-    def adopt(self, clock: "Clock", execution: Optional[PlanExecution]) -> None:
-        if execution is not None:
-            raise ValueError(
-                "checkpoint was taken under a fault plan "
-                f"({execution.plan.fingerprint()!r}); install the same plan "
-                "before resuming"
-            )
 
 
 NOOP_PLANE = NoopPlane()

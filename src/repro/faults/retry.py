@@ -11,7 +11,7 @@ The backoff schedule is a pure function of ``(policy, key)``:
   first, then a running maximum);
 * **bounded** -- no delay exceeds ``max_delay_ms * (1 + jitter)``;
 * **deterministic** -- identical seeds and keys yield identical schedules,
-  which is what makes a faulty run replayable and a checkpoint resumable
+  which is what makes a faulty run replayable, and a re-run shard exact,
   without carrying hidden RNG state.
 
 All delays are *virtual* milliseconds: retrying sleeps the device clock, so

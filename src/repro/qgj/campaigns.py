@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import random
 import string
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -68,6 +69,9 @@ _TITLES: Dict[Campaign, str] = {
 CAMPAIGN_C_ROUNDS = 3
 
 _RANDOM_CHARS = string.ascii_letters + string.digits + "$@!%.:/#?&=_- "
+#: ``rng.choice(_RANDOM_CHARS)`` draws ``getrandbits`` of this width until
+#: the value indexes the alphabet.
+_RANDOM_CHAR_BITS = len(_RANDOM_CHARS).bit_length()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,8 +93,22 @@ class FuzzIntent:
 
 
 def random_ascii(rng: random.Random, min_len: int = 3, max_len: int = 24) -> str:
+    """A random string, character for character what ``rng.choice`` draws.
+
+    Each character runs, inline, the ``getrandbits`` rejection loop that
+    ``choice`` runs for the 76-character alphabet: the same strings and the
+    same RNG state afterwards, without ``choice``'s per-call overhead.
+    """
     length = rng.randint(min_len, max_len)
-    return "".join(rng.choice(_RANDOM_CHARS) for _ in range(length))
+    getrandbits = rng.getrandbits
+    size = len(_RANDOM_CHARS)
+    chars = []
+    for _ in range(length):
+        index = getrandbits(_RANDOM_CHAR_BITS)
+        while index >= size:
+            index = getrandbits(_RANDOM_CHAR_BITS)
+        chars.append(_RANDOM_CHARS[index])
+    return "".join(chars)
 
 
 def _random_extra_value(rng: random.Random) -> object:
@@ -140,6 +158,18 @@ def generate_campaign_d(rng: random.Random) -> Iterator[FuzzIntent]:
         yield FuzzIntent(action=action, data=data or None, extras=extras)
 
 
+@functools.lru_cache(maxsize=None)
+def _constant_table(campaign: Campaign) -> Tuple[FuzzIntent, ...]:
+    """Campaign A's or B's intents, built once per process.
+
+    Neither draws randomness or reads the component, so every component
+    and seed gets the same table.
+    """
+    if campaign == Campaign.A:
+        return tuple(generate_campaign_a())
+    return tuple(generate_campaign_b())
+
+
 def generate(
     campaign: Campaign,
     seed: int = 0,
@@ -148,19 +178,19 @@ def generate(
 ) -> Iterator[FuzzIntent]:
     """Generate *campaign*'s intents for one component.
 
-    ``stride`` keeps every ``stride``-th intent (quick-scale subsampling);
-    the RNG is keyed on (campaign, component, seed) so different components
-    receive different random payloads, reproducibly.
+    ``stride`` keeps every ``stride``-th intent (quick-scale subsampling).
+    Campaigns A and B are constant tables; C and D key their RNG on
+    (campaign, component, seed) so different components receive different
+    random payloads, reproducibly.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if campaign in (Campaign.A, Campaign.B):
+        yield from _constant_table(campaign)[::stride]
+        return
     key = f"{campaign.value}|{component.flatten_to_string() if component else ''}|{seed}"
     rng = random.Random(key)
-    if campaign == Campaign.A:
-        source: Iterator[FuzzIntent] = generate_campaign_a()
-    elif campaign == Campaign.B:
-        source = generate_campaign_b()
-    elif campaign == Campaign.C:
+    if campaign == Campaign.C:
         source = generate_campaign_c(rng)
     elif campaign == Campaign.D:
         source = generate_campaign_d(rng)

@@ -388,8 +388,6 @@ class FuzzerLibrary:
         max_intents = config.max_intents_per_component
         kill_switch = self.kill_switch
         for fuzz_intent in intents:
-            if max_intents is not None and result.sent >= max_intents:
-                break
             inject(info, fuzz_intent, result)
             if kill_switch is not None:
                 kill_switch.tick()
@@ -401,6 +399,9 @@ class FuzzerLibrary:
                 result.aborted = True
                 return
             if result.quarantined:
+                return
+            # Checked after the send, so no intent is pulled unsent.
+            if max_intents is not None and result.sent >= max_intents:
                 return
 
     def _inject(

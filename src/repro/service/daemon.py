@@ -312,7 +312,7 @@ class ServiceDaemon:
             self._execute(claim)
         except StudyInterrupted:
             # The farm drained mid-study on our signal: the shard journals
-            # hold every completed segment; give the lease back un-failed.
+            # hold every finished shard's result; give the lease back un-failed.
             self.queue.release_drained(claim.fingerprint, self.owner)
             self._drain_requested = True
         except ShardPoisonedError as exc:
@@ -321,7 +321,7 @@ class ServiceDaemon:
             raise
         except KeyboardInterrupt:
             # Hard drain mid-study at workers=1: the wear journal has the
-            # completed segments; release and leave.
+            # finished shards' results; release and leave.
             self.queue.release_drained(claim.fingerprint, self.owner)
             self._drain_requested = True
         except Exception:

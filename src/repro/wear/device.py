@@ -28,8 +28,7 @@ from repro.wear.node import BluetoothLink, DataClient, MessageClient, WearableNo
 from repro.wear.ui_widgets import NotificationStream
 
 
-# Module-level service providers keep devices picklable (the chaos plane's
-# checkpoint journal snapshots whole devices between campaign segments).
+# Module-level service providers keep a device's state free of closures.
 def _message_client_provider(device, package):
     return MessageClient(device.node)
 

@@ -6,6 +6,7 @@ scope that still exercises the full reboot/recovery path.
 """
 
 import dataclasses
+import glob
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,9 @@ from repro import faults
 from repro.experiments import runner
 from repro.experiments.config import PAPER, QUICK
 from repro.experiments.wear_experiment import run_wear_study
+from repro.farm import shard as shard_module
 from repro.faults.errors import CampaignKilled
+from repro.faults.journal import CheckpointJournal
 from repro.faults.plan import CHAOS_INTERVALS_MS, CompatMatrix, FaultKind, FaultPlan
 from repro.qgj.campaigns import Campaign
 
@@ -62,7 +65,7 @@ class TestKillAndResume:
         journal = str(tmp_path / "run.jsonl")
         with faults.session(PLAN):
             # Campaign A sends ~670 intents, so 800 lands inside campaign B:
-            # the kill hits after a snapshot exists, exercising the restore.
+            # the killed shard re-runs from a fresh rig on resume.
             with pytest.raises(CampaignKilled) as exc_info:
                 run_wear_study(
                     QUICK,
@@ -76,12 +79,12 @@ class TestKillAndResume:
             resumed = run_wear_study(QUICK, journal_path=journal, resume=True)
         assert _wire(resumed) == _wire(base)
         assert resumed.collector.reboots == base.collector.reboots
-        assert resumed.watch.clock.now_ms() == base.watch.clock.now_ms()
+        assert resumed.shard_clock_ms == base.shard_clock_ms
 
     def test_resume_under_os_chaos_reproduces_the_summary(self, tmp_path):
         # Same identity bar as the transport-only plan, with outage windows,
         # corrupted replies, a possible system_server bounce, and compat
-        # mismatches in the snapshot/restore path (SNAPSHOT_VERSION 3 state).
+        # mismatches in the re-run shard.
         campaigns = (Campaign.A, Campaign.B)
         with faults.session(OS_PLAN):
             base = run_wear_study(QUICK, packages=[PKG], campaigns=campaigns)
@@ -98,7 +101,7 @@ class TestKillAndResume:
         with faults.session(OS_PLAN):
             resumed = run_wear_study(QUICK, journal_path=journal, resume=True)
         assert _wire(resumed) == _wire(base)
-        assert resumed.watch.clock.now_ms() == base.watch.clock.now_ms()
+        assert resumed.shard_clock_ms == base.shard_clock_ms
 
     def test_kill_before_first_checkpoint_restarts_from_scratch(self, tmp_path):
         with faults.session(PLAN):
@@ -173,6 +176,95 @@ class TestKillAndResume:
             run_wear_study(QUICK, journal_path=journal, resume=True)
 
 
+class TestShardGranularResume:
+    """A journal holds each shard's header and, once it finishes, its
+    result: resume loads finished shards and re-runs the rest."""
+
+    PACKAGES = [PKG, "com.runmate.wear"]
+    CAMPAIGNS = (Campaign.A, Campaign.B)
+    #: The CLI's ``--fault-seed 7`` plan: sparse enough for two packages.
+    PLAN = FaultPlan.chaos(seed=7)
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        with faults.session(self.PLAN):
+            return run_wear_study(QUICK, packages=self.PACKAGES, campaigns=self.CAMPAIGNS)
+
+    @pytest.fixture
+    def rigs(self, monkeypatch):
+        """Counts fresh device rigs built while the test runs."""
+        built = []
+        original = shard_module._build_rig
+
+        def counting(spec, runtime, kill_switch):
+            built.append(spec.key)
+            return original(spec, runtime, kill_switch)
+
+        monkeypatch.setattr(shard_module, "_build_rig", counting)
+        return built
+
+    def _run(self, **kwargs):
+        with faults.session(self.PLAN):
+            return run_wear_study(QUICK, **kwargs)
+
+    def _kill_inside_shard_1(self, base, journal, rigs):
+        # Past shard 1's first segment, so the kill lands mid-shard with a
+        # finished segment behind it.
+        sent = [app.sent for app in base.summary.apps]
+        with pytest.raises(CampaignKilled):
+            self._run(
+                packages=self.PACKAGES,
+                campaigns=self.CAMPAIGNS,
+                journal_path=journal,
+                kill_after_injections=sent[0] + sent[1] + sent[2] + 50,
+            )
+        assert rigs == self.PACKAGES
+        # Only the finished shard left a result record.
+        assert glob.glob(journal + ".shard-*.state") == [journal + ".shard-000.state"]
+        rigs.clear()
+
+    def _check(self, resumed, base):
+        assert _wire(resumed) == _wire(base)
+        assert resumed.collector.reboots == base.collector.reboots
+        assert resumed.shard_clock_ms == base.shard_clock_ms
+
+    def test_resume_loads_the_finished_shard_and_reruns_the_other(self, tmp_path, base, rigs):
+        journal = str(tmp_path / "run.jsonl")
+        self._kill_inside_shard_1(base, journal, rigs)
+        resumed = self._run(journal_path=journal, resume=True)
+        assert rigs == ["com.runmate.wear"]
+        self._check(resumed, base)
+
+    def test_a_killed_resume_resumes_again(self, tmp_path, base, rigs):
+        journal = str(tmp_path / "run.jsonl")
+        self._kill_inside_shard_1(base, journal, rigs)
+        with pytest.raises(CampaignKilled):
+            self._run(journal_path=journal, resume=True, kill_after_injections=30)
+        assert rigs == ["com.runmate.wear"]
+        rigs.clear()
+        resumed = self._run(journal_path=journal, resume=True)
+        assert rigs == ["com.runmate.wear"]
+        self._check(resumed, base)
+
+    def test_a_leftover_tmp_record_is_ignored(self, tmp_path, base, rigs):
+        journal = str(tmp_path / "run.jsonl")
+        self._kill_inside_shard_1(base, journal, rigs)
+        # A kill inside save_state leaves a partial temp file behind.
+        with open(journal + ".shard-001.state.tmp", "wb") as fh:
+            fh.write(b"\x80\x05torn")
+        resumed = self._run(journal_path=journal, resume=True)
+        assert rigs == ["com.runmate.wear"]
+        self._check(resumed, base)
+
+    def test_a_record_that_is_not_a_shard_result_is_rejected(self, tmp_path, base, rigs):
+        journal = str(tmp_path / "run.jsonl")
+        self._kill_inside_shard_1(base, journal, rigs)
+        # What a device-snapshot journal left at a finished shard's path.
+        CheckpointJournal(journal + ".shard-000").save_state({"version": 4, "index": 2})
+        with pytest.raises(ValueError, match="not a result record"):
+            self._run(journal_path=journal, resume=True)
+
+
 class TestRebootInvariant:
     """The paper's recovery rule: a reboot aborts the rest of the app's run
     and each triggering segment reboots exactly once."""
@@ -203,7 +295,7 @@ class TestEmptyPlanIsNoPlan:
         with faults.session(FaultPlan(seed=seed)):
             armed = run_wear_study(QUICK, packages=[PKG], campaigns=(Campaign.A,))
         assert _wire(armed) == _wire(baseline)
-        assert armed.watch.clock.now_ms() == baseline.watch.clock.now_ms()
+        assert armed.shard_clock_ms == baseline.shard_clock_ms
 
     def test_zero_skew_compat_stream_matches_no_plan(self, baseline):
         # Stronger than the empty plan: the compat stream is *armed* and
@@ -217,7 +309,7 @@ class TestEmptyPlanIsNoPlan:
         with faults.session(plan):
             armed = run_wear_study(QUICK, packages=[PKG], campaigns=(Campaign.A,))
         assert _wire(armed) == _wire(baseline)
-        assert armed.watch.clock.now_ms() == baseline.watch.clock.now_ms()
+        assert armed.shard_clock_ms == baseline.shard_clock_ms
 
     @pytest.fixture(scope="class")
     def baseline(self):

@@ -38,6 +38,12 @@ def test_shard_result_round_trips_through_pickle():
     assert clone.clock_ms == result.clock_ms
 
 
+def test_shard_result_ships_no_device():
+    data = pickle.dumps(run_shard(_spec()))
+    for name in (b"WearDevice", b"PhoneDevice", b"Logcat"):
+        assert name not in data
+
+
 @pytest.mark.skipif(
     "spawn" not in __import__("multiprocessing").get_all_start_methods(),
     reason="spawn start method unavailable",

@@ -15,9 +15,8 @@ from repro.faults.plan import (
     FaultEvent,
     FaultKind,
     FaultPlan,
-    PlanExecution,
 )
-from repro.faults.plane import NOOP_PLANE, FaultPlane
+from repro.faults.plane import NOOP_PLANE
 
 
 @pytest.fixture(autouse=True)
@@ -75,22 +74,6 @@ class TestInstallSemantics:
         with faults.session(None) as plane:
             assert plane is NOOP_PLANE
         assert faults.get() is NOOP_PLANE
-
-
-class TestAdoptGuards:
-    def test_noop_plane_rejects_faulted_checkpoint_state(self):
-        device = _device()
-        execution = PlanExecution(FaultPlan.chaos(seed=1))
-        with pytest.raises(ValueError, match="install the same plan"):
-            NOOP_PLANE.adopt(device.clock, execution)
-        NOOP_PLANE.adopt(device.clock, None)  # unfaulted state is fine
-
-    def test_plane_rejects_state_from_a_different_plan(self):
-        device = _device()
-        plane = FaultPlane(FaultPlan.chaos(seed=1))
-        execution = PlanExecution(FaultPlan.chaos(seed=2))
-        with pytest.raises(ValueError, match="different fault plan"):
-            plane.adopt(device.clock, execution)
 
 
 class TestAdbDrop:

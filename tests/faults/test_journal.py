@@ -1,4 +1,4 @@
-"""Tests for the checkpoint journal: durability, torn tails, snapshots."""
+"""Tests for the checkpoint journal: durability, torn tails, result records."""
 
 import json
 
@@ -6,6 +6,10 @@ import pytest
 
 from repro.faults.errors import CampaignKilled
 from repro.faults.journal import JOURNAL_VERSION, CheckpointJournal, KillSwitch
+
+
+def _segments(journal):
+    return [r for r in CheckpointJournal.load(journal.path) if r.get("type") == "segment"]
 
 
 class TestKillSwitch:
@@ -32,7 +36,7 @@ class TestJournal:
         assert header["type"] == "header"
         assert header["version"] == JOURNAL_VERSION
         assert header["config"] == "quick"
-        assert [s["package"] for s in journal.segments()] == ["com.a", "com.b"]
+        assert [s["package"] for s in _segments(journal)] == ["com.a", "com.b"]
 
     def test_start_truncates_previous_run_and_stale_state(self, tmp_path):
         journal = CheckpointJournal(str(tmp_path / "run.jsonl"))
@@ -40,7 +44,7 @@ class TestJournal:
         journal.append({"type": "segment", "index": 0})
         journal.save_state({"index": 1})
         journal.start({"config": "quick"})
-        assert journal.segments() == []
+        assert _segments(journal) == []
         assert journal.load_state() is None
 
     def test_torn_tail_is_dropped(self, tmp_path):
@@ -70,7 +74,7 @@ class TestJournal:
         assert "recovered_bytes" not in CheckpointJournal.load(str(path))[0]
         # ...and the journal keeps working: appends after recovery parse.
         journal.append({"type": "segment", "index": 1})
-        assert [s["index"] for s in journal.segments()] == [0, 1]
+        assert [s["index"] for s in _segments(journal)] == [0, 1]
 
     def test_terminated_but_unparsable_final_line_is_recovered(self, tmp_path):
         # fsync guarantees ordering, not atomicity: a torn append can land
@@ -90,7 +94,7 @@ class TestJournal:
     def test_load_leaves_the_file_alone_by_default(self, tmp_path):
         # Readers may be observing a live writer's in-flight append, so
         # the default load never modifies the file -- only the owning
-        # writer truncates (truncate=True, or repair()).
+        # writer truncates (truncate=True).
         path = tmp_path / "run.jsonl"
         journal = CheckpointJournal(str(path))
         journal.start({"config": "quick"})
@@ -100,20 +104,6 @@ class TestJournal:
         records = CheckpointJournal.load(str(path))
         assert records[0]["recovered_bytes"] == len('{"torn')
         assert path.stat().st_size == size
-
-    def test_repair_truncates_the_torn_tail_for_the_owner(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        journal = CheckpointJournal(str(path))
-        journal.start({"config": "quick"})
-        journal.append({"type": "segment", "index": 0})
-        durable = path.stat().st_size
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"torn')
-        assert journal.repair() == len('{"torn')
-        assert path.stat().st_size == durable
-        # Clean file: repair is a no-op, and a missing file reports 0.
-        assert journal.repair() == 0
-        assert CheckpointJournal(str(tmp_path / "absent.jsonl")).repair() == 0
 
     def test_corrupt_interior_record_is_an_error(self, tmp_path):
         path = tmp_path / "run.jsonl"

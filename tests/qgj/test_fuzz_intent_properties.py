@@ -1,5 +1,6 @@
 """Property tests for FuzzIntent construction and the triage reproducers."""
 
+import random
 import shlex
 
 import pytest
@@ -7,13 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.android.actions import ALL_ACTIONS, URI_SAMPLES
 from repro.android.intent import ComponentName
-from repro.qgj.campaigns import Campaign, FuzzIntent, generate, random_ascii
+from repro.qgj.campaigns import _RANDOM_CHARS, Campaign, FuzzIntent, generate, random_ascii
 from repro.qgj.triage import CrashBucket, CrashSignature
 
 CMP = ComponentName("com.a", "com.a.MainActivity")
 
 maybe_action = st.one_of(st.none(), st.sampled_from(ALL_ACTIONS), st.text(min_size=1, max_size=20))
 maybe_data = st.one_of(st.none(), st.sampled_from(sorted(URI_SAMPLES.values())), st.text(max_size=20))
+#: ``(min_len, max_len)`` pairs with ``min_len <= max_len``.
+length_bounds = st.integers(min_value=0, max_value=40).flatmap(
+    lambda low: st.tuples(st.just(low), st.integers(min_value=low, max_value=low + 40))
+)
 extras = st.lists(
     st.tuples(st.text(min_size=1, max_size=8), st.one_of(st.text(max_size=8), st.integers(), st.none())),
     max_size=4,
@@ -44,12 +49,24 @@ class TestFuzzIntentBuild:
                 break
 
     def test_random_ascii_length_bounds(self):
-        import random
-
         rng = random.Random(1)
         for _ in range(100):
             text = random_ascii(rng, min_len=3, max_len=24)
             assert 3 <= len(text) <= 24
+
+    @given(st.text(max_size=16), length_bounds)
+    @settings(max_examples=200, deadline=None)
+    def test_random_ascii_draws_what_choice_draws(self, seed, bounds):
+        # The reference is the one-``choice``-per-character form: the
+        # inlined draws must give the same strings and leave the RNG in
+        # the same state for every later draw.
+        min_len, max_len = bounds
+        ours, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            length = reference.randint(min_len, max_len)
+            expected = "".join(reference.choice(_RANDOM_CHARS) for _ in range(length))
+            assert random_ascii(ours, min_len, max_len) == expected
+        assert ours.getstate() == reference.getstate()
 
 
 class TestReproducerLines:

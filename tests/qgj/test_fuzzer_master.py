@@ -4,7 +4,7 @@ import pytest
 
 from repro.android.component import ComponentKind
 from repro.apps.catalog import build_wear_corpus
-from repro.qgj.campaigns import Campaign
+from repro.qgj.campaigns import Campaign, generate
 from repro.qgj.fuzzer import (
     QGJ_WEAR_PACKAGE,
     FuzzConfig,
@@ -73,6 +73,20 @@ class TestFuzzComponent:
             info, Campaign.A, FuzzConfig(max_intents_per_component=10)
         )
         assert result.sent == 10
+
+    def test_cap_pulls_only_what_it_sends(self, watch):
+        info = watch.packages.get_package("com.runmate.wear").activities()[1]
+        pulled = []
+
+        def intents():
+            for fuzz_intent in generate(Campaign.C, component=info.name):
+                pulled.append(fuzz_intent)
+                yield fuzz_intent
+
+        result = FuzzerLibrary(watch).fuzz_component(
+            info, Campaign.C, FuzzConfig(max_intents_per_component=1), intents=intents()
+        )
+        assert result.sent == len(pulled) == 1
 
     def test_pacing_advances_virtual_clock(self, watch):
         info = watch.packages.get_package("com.runmate.wear").activities()[1]

@@ -37,15 +37,19 @@ def instrumented_study():
         beats = []
         t.progress.add_listener(beats.append)
         study = run_wear_study(QUICK, packages=FOCUS_PACKAGES)
-        return {
+        artifacts = {
             "study": study,
             "t": t,
             "beats": beats,
             "prom": render_prometheus(t.metrics),
             "jsonl": spans_to_jsonl(t.tracer),
-            "dumpsys": study.watch.adb.shell("dumpsys telemetry"),
-            "dumpsys_prom": study.watch.adb.shell("dumpsys telemetry --prometheus"),
         }
+        # Study results hold no device; any device's shell reads the live
+        # handle, so the probe is built after the exports are captured.
+        probe = WearDevice("dumpsys-probe")
+        artifacts["dumpsys"] = probe.adb.shell("dumpsys telemetry")
+        artifacts["dumpsys_prom"] = probe.adb.shell("dumpsys telemetry --prometheus")
+        return artifacts
 
 
 class TestStudyMetrics:
