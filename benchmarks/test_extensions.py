@@ -27,15 +27,17 @@ def test_evolution_table_regenerates(benchmark, wear, phone):
 
 
 def test_lint_correlation_regenerates(benchmark, wear):
-    from repro.android.runtime import RuntimeContext
-    from repro.farm import plan_shards
-    from repro.farm.shard import _build_rig
+    from repro.apps.catalog import build_wear_corpus
+    from repro.qgj.master import deploy
+    from repro.wear.device import PhoneDevice, WearDevice, pair
 
-    # Lint reads the installed packages, so a fresh rig of the study's
-    # recipe stands in for the watch the study fuzzed.
-    spec = plan_shards("wear", wear.config, [wear.summary.apps[-1].package], ())[0]
-    _, fuzzer = _build_rig(spec, RuntimeContext(), None)
-    findings = lint_device(fuzzer.device)
+    # Lint reads the installed packages: the study's watch as the paper
+    # set it up, with the wear corpus installed and QGJ deployed.
+    phone, watch = PhoneDevice("nexus4"), WearDevice("moto360")
+    pair(phone, watch)
+    build_wear_corpus(seed=wear.config.corpus_seed).install(watch)
+    deploy(phone, watch)
+    findings = lint_device(watch)
     result = benchmark(correlate, findings, wear.collector)
     print()
     print(render_report(findings, limit=6))

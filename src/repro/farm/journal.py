@@ -51,7 +51,13 @@ class StudyManifest:
         *extra* carries study-kind specific facts (the fleet study records
         its fleet size, cohort spec and lane count here) so a resume can
         rebuild the exact plan without the operator repeating the flags.
+
+        A fresh study owns its shard files: whatever an earlier run left
+        at a listed shard's path is removed before the header is written,
+        so a resume of this study never finds a record it did not write.
         """
+        for spec in shards:
+            CheckpointJournal(self.shard_journal_path(spec.index)).clear()
         header = {
             "kind": "study-manifest",
             "manifest_version": MANIFEST_VERSION,

@@ -20,9 +20,10 @@ the ablations call the step directly.
 Checkpointing is per shard and holds results, never devices: a journalled
 shard writes its :class:`~repro.faults.journal.CheckpointJournal` header
 when it starts and one result record once its last segment folds.  A
-resumed shard that finished returns that record; any other shard re-runs
-from :func:`_build_rig`, which is exact because the shard is deterministic
-on its own seed and clock.
+resumed shard that finished returns that record, once its journal header
+matches the live shard; any other shard re-runs from :func:`_build_rig`,
+which is exact because the shard is deterministic on its own seed and
+clock.
 """
 
 from __future__ import annotations
@@ -315,31 +316,27 @@ def _run_blind_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attem
     journal = (
         CheckpointJournal(spec.journal_path) if spec.journal_path is not None else None
     )
+    config = spec.config
+    header = {
+        "config": config.name,
+        "shard": spec.key,
+        "index": spec.index,
+        "fault_fingerprint": plane.fingerprint(),
+        "packages": list(spec.packages),
+        "campaigns": [campaign.value for campaign in spec.campaigns],
+    }
     if spec.resume and journal is not None:
         record = journal.load_state()
         if record is not None:
-            if not isinstance(record, ShardResult) or record.key != spec.key:
-                raise ValueError(
-                    f"{journal.state_path} is not a result record of shard {spec.key!r}"
-                )
+            _check_record(journal, record, header)
             return record
-    config = spec.config
     crash = _crash_policy(spec)
     corpus, fuzzer = _build_rig(spec, runtime, kill_switch)
     device = fuzzer.device
     collector = StudyCollector(corpus.packages())
     summary = FuzzSummary(device=device.name)
     if journal is not None:
-        journal.start(
-            {
-                "config": config.name,
-                "shard": spec.key,
-                "index": spec.index,
-                "fault_fingerprint": plane.fingerprint(),
-                "packages": list(spec.packages),
-                "campaigns": [campaign.value for campaign in spec.campaigns],
-            }
-        )
+        journal.start(header)
     _adb_call(device.adb.logcat_clear, device.clock, plane, handle, key=("clear", -1))
     segments = [(p, c) for p in spec.packages for c in spec.campaigns]
     with _study_span(spec, handle, device.clock, heartbeat):
@@ -356,6 +353,27 @@ def _run_blind_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attem
     if journal is not None:
         journal.save_state(result)
     return result
+
+
+def _check_record(journal: CheckpointJournal, record, header) -> None:
+    """Refuse a result record this shard, as specified now, did not write.
+
+    The record's own journal header must match the live shard field for
+    field -- config, key, index, fault-plan fingerprint, packages and
+    campaigns -- so a record left by an earlier run under another plan is
+    never merged into this one.
+    """
+    if not isinstance(record, ShardResult) or record.key != header["shard"]:
+        raise ValueError(
+            f"{journal.state_path} is not a result record of shard {header['shard']!r}"
+        )
+    recorded = journal.header()
+    for field, live in header.items():
+        if recorded.get(field) != live:
+            raise ValueError(
+                f"{journal.state_path} was recorded under {field} "
+                f"{recorded.get(field)!r}, not {live!r} -- start a fresh run"
+            )
 
 
 def _run_guided_shard(spec, handle, runtime, kill_switch, heartbeat, attempt) -> ShardResult:

@@ -113,7 +113,13 @@ class CheckpointJournal:
 
     # -- journal writes -----------------------------------------------------------
     def start(self, header: Dict[str, Any]) -> None:
-        """Begin a fresh journal (truncates any previous one)."""
+        """Begin a fresh journal (truncates any previous one).
+
+        The old record goes first: a header on disk then always belongs to
+        the run that wrote the record beside it, even if a kill lands
+        between the two steps.
+        """
+        self.clear()
         record = {"type": "header", "version": JOURNAL_VERSION, **header}
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
@@ -121,8 +127,12 @@ class CheckpointJournal:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
-        if os.path.exists(self.state_path):
-            os.remove(self.state_path)
+
+    def clear(self) -> None:
+        """Remove the journal and its record, if present."""
+        for path in (self.state_path, self.path):
+            if os.path.exists(path):
+                os.remove(path)
 
     def append(self, record: Dict[str, Any]) -> None:
         """Append one record; durable once this returns."""

@@ -7,6 +7,7 @@ scope that still exercises the full reboot/recovery path.
 
 import dataclasses
 import glob
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,6 +263,45 @@ class TestShardGranularResume:
         # What a device-snapshot journal left at a finished shard's path.
         CheckpointJournal(journal + ".shard-000").save_state({"version": 4, "index": 2})
         with pytest.raises(ValueError, match="not a result record"):
+            self._run(journal_path=journal, resume=True)
+
+    def test_a_fresh_run_drops_the_records_of_an_earlier_run(self, tmp_path, rigs):
+        # A finished run under one plan, then a fresh run under another,
+        # killed inside shard 0 before shard 1 starts: the resume must
+        # re-run shard 1 under the new plan, not merge the old record.
+        other = FaultPlan.chaos(seed=8)
+        with faults.session(other):
+            expected = run_wear_study(QUICK, packages=self.PACKAGES, campaigns=self.CAMPAIGNS)
+        journal = str(tmp_path / "run.jsonl")
+        self._run(packages=self.PACKAGES, campaigns=self.CAMPAIGNS, journal_path=journal)
+        with faults.session(other):
+            with pytest.raises(CampaignKilled):
+                run_wear_study(
+                    QUICK,
+                    packages=self.PACKAGES,
+                    campaigns=self.CAMPAIGNS,
+                    journal_path=journal,
+                    kill_after_injections=50,
+                )
+            assert glob.glob(journal + ".shard-*.state") == []
+            rigs.clear()
+            resumed = run_wear_study(QUICK, journal_path=journal, resume=True)
+        assert rigs == self.PACKAGES
+        self._check(resumed, expected)
+
+    def test_a_record_from_another_plan_is_rejected(self, tmp_path, base, rigs):
+        foreign = str(tmp_path / "foreign.jsonl")
+        with faults.session(FaultPlan.chaos(seed=8)):
+            run_wear_study(
+                QUICK, packages=self.PACKAGES, campaigns=self.CAMPAIGNS, journal_path=foreign
+            )
+        rigs.clear()
+        journal = str(tmp_path / "run.jsonl")
+        self._kill_inside_shard_1(base, journal, rigs)
+        # Shard 0's journal and record as another plan's run left them.
+        for suffix in (".shard-000", ".shard-000.state"):
+            shutil.copyfile(foreign + suffix, journal + suffix)
+        with pytest.raises(ValueError, match="fault_fingerprint"):
             self._run(journal_path=journal, resume=True)
 
 
