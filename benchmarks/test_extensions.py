@@ -27,17 +27,12 @@ def test_evolution_table_regenerates(benchmark, wear, phone):
 
 
 def test_lint_correlation_regenerates(benchmark, wear):
-    from repro.apps.catalog import build_wear_corpus
-    from repro.qgj.master import deploy
-    from repro.wear.device import PhoneDevice, WearDevice, pair
+    from repro.farm import build_rig
 
     # Lint reads the installed packages: the study's watch as the paper
     # set it up, with the wear corpus installed and QGJ deployed.
-    phone, watch = PhoneDevice("nexus4"), WearDevice("moto360")
-    pair(phone, watch)
-    build_wear_corpus(seed=wear.config.corpus_seed).install(watch)
-    deploy(phone, watch)
-    findings = lint_device(watch)
+    _, fuzzer = build_rig(wear.config)
+    findings = lint_device(fuzzer.device)
     result = benchmark(correlate, findings, wear.collector)
     print()
     print(render_report(findings, limit=6))

@@ -11,9 +11,8 @@ Shows the full pipeline with its intermediate artifacts:
 Run:  python examples/ui_monkey.py
 """
 
-from repro.apps.builtin import google_fit_spec_key
-from repro.apps.catalog import build_wear_corpus, emulator_packages
-from repro.apps.health import register_health_factories
+from repro.experiments.config import QUICK
+from repro.farm import build_rig
 from repro.qgj.monkey import Monkey, parse_monkey_log
 from repro.qgj.ui_fuzzer import (
     EventMutator,
@@ -22,24 +21,14 @@ from repro.qgj.ui_fuzzer import (
     event_to_shell,
     render_table5,
 )
-from repro.wear.device import PhoneDevice, WearDevice, pair
+from repro.wear.device import WearDevice
 
 
 def build_emulator() -> WearDevice:
-    corpus = build_wear_corpus(seed=2018)
-    emulator = WearDevice(
-        "watch-emulator", model="Android Watch Emulator (API 25)", is_emulator=True
-    )
-    phone = PhoneDevice("nexus6")
-    pair(phone, emulator)
-    selection = emulator_packages(corpus)
-    corpus.registry.install(emulator.activity_manager)
-    register_health_factories(emulator.activity_manager)
-    google_fit_spec_key(corpus.registry, emulator.activity_manager)
-    for package in selection:
-        emulator.install(package)
+    _, fuzzer = build_rig(QUICK, "emulator")
+    emulator = fuzzer.device
     print(
-        f"emulator carries {len(selection)} apps "
+        f"emulator carries {len(emulator.packages.installed_packages())} apps "
         "(all non-vendor built-ins + top-20 third-party)\n"
     )
     return emulator

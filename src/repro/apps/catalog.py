@@ -45,6 +45,7 @@ from repro.apps.profiles import (
     AMBIENT_CRASH_LOOP,
     CAMPAIGN_TRIGGERS,
     COMPONENTS_PER_CRASH_SLOT,
+    EMULATOR_TOP_THIRD_PARTY,
     EXTRA_HANG_COMPONENTS,
     HANDLED_EXCEPTION_MIX,
     HANDLED_QUIRK_FRACTION,
@@ -59,6 +60,9 @@ from repro.apps.profiles import (
     PHONE_CRASH_COMPONENTS,
     PHONE_CRASH_EXCEPTION_MIX,
     PHONE_POPULATION,
+    UI_CRASH_FRACTION,
+    UI_FRAGILE_APPS,
+    UI_HANDLED_FRACTION,
     WEAR_CRASH_EXCEPTION_MIX,
     WEAR_POPULATION,
     allocate_by_mix,
@@ -831,13 +835,7 @@ def build_phone_corpus(seed: int = 711) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-def emulator_packages(
-    corpus: Corpus,
-    top_third_party: int = 20,
-    ui_handled_fraction: float = 0.045,
-    ui_crash_fraction: float = 0.03,
-    fragile_apps: int = 3,
-) -> List[PackageInfo]:
+def emulator_packages(corpus: Corpus) -> List[PackageInfo]:
     """Select and UI-harden the Watch-emulator population.
 
     Mirrors Section III-E: "we installed on the emulator all the built-in
@@ -845,7 +843,8 @@ def emulator_packages(
     minus vendor extensions (the emulator has no Motorola layer).  Launcher
     activities receive sparse UI-event quirks: a small HANDLED fraction on
     every app, plus rare CRASH defects on a few fragile ones, calibrated to
-    Table V's 3.6% exceptions / 0.05% crash rates.
+    Table V's 3.6% exceptions / 0.05% crash rates (the constants live in
+    :mod:`repro.apps.profiles`).
     """
     builtins = [
         app.package
@@ -855,7 +854,7 @@ def emulator_packages(
     third_party = sorted(
         (app.package for app in corpus.apps if not app.package.is_built_in),
         key=lambda p: -p.downloads,
-    )[:top_third_party]
+    )[:EMULATOR_TOP_THIRD_PARTY]
     selection = builtins + third_party
 
     fragile = 0
@@ -869,17 +868,17 @@ def emulator_packages(
                 kinds=("tap", "swipe", "text", "keyevent", "trackball"),
                 exception="java.lang.IllegalArgumentException",
                 outcome=Outcome.HANDLED,
-                fire_fraction=ui_handled_fraction,
+                fire_fraction=UI_HANDLED_FRACTION,
                 message="pointer event outside view bounds",
             )
         )
-        if fragile < fragile_apps and not package.is_built_in:
+        if fragile < UI_FRAGILE_APPS and not package.is_built_in:
             spec.ui_vulnerabilities.append(
                 UiVulnerability(
                     kinds=("tap",),
                     exception="java.lang.NullPointerException",
                     outcome=Outcome.CRASH,
-                    fire_fraction=ui_crash_fraction,
+                    fire_fraction=UI_CRASH_FRACTION,
                     message="touch target view was recycled",
                     method="onClick",
                     line=302,

@@ -195,6 +195,26 @@ AMBIENT_CRASH_LOOP = 3
 
 
 # ---------------------------------------------------------------------------
+# The Watch-emulator selection for QGJ-UI (Section III-E / Table V).
+# ---------------------------------------------------------------------------
+
+#: Third-party apps on the emulator: "the top 20 of the most popular
+#: third-party apps" (Section III-E).
+EMULATOR_TOP_THIRD_PARTY = 20
+
+#: Share of UI events that make a launcher log a handled exception; with
+#: the monkey's event mix this lands Table V's semi-valid 3.6% exceptions.
+UI_HANDLED_FRACTION = 0.045
+
+#: Share of taps that crash a fragile launcher: Table V's semi-valid 0.05%
+#: crashes (and none under random mutation).
+UI_CRASH_FRACTION = 0.03
+
+#: Third-party apps whose launcher carries that crash defect (Table V).
+UI_FRAGILE_APPS = 3
+
+
+# ---------------------------------------------------------------------------
 # Fleet cohorts: heterogeneous device-pair profiles.
 #
 # The single-pair studies replay the paper's exact Nexus 6 / Moto 360 test

@@ -10,10 +10,10 @@ from repro.experiments.ablations import (
     render_rows,
 )
 from repro.experiments.config import PAPER, QUICK, ExperimentConfig, by_name
-from repro.experiments.phone_experiment import PhoneStudyResult, run_phone_study
+from repro.experiments.phone_experiment import run_phone_study
 from repro.experiments.runner import full_report, phone_study, ui_study, wear_study
 from repro.experiments.ui_experiment import UiStudyResult, run_ui_study
-from repro.experiments.wear_experiment import WearStudyResult, run_wear_study
+from repro.experiments.wear_experiment import StudyResult, run_wear_study
 
 __all__ = [
     "AblationRow",
@@ -26,9 +26,8 @@ __all__ = [
     "render_rows",
     "QUICK",
     "ExperimentConfig",
-    "PhoneStudyResult",
+    "StudyResult",
     "UiStudyResult",
-    "WearStudyResult",
     "by_name",
     "full_report",
     "phone_study",

@@ -34,10 +34,10 @@ from repro.analysis.manifest import Manifestation, StudyCollector
 from repro.apps.builtin import AMBIENT_BINDER_PACKAGE
 from repro.apps.catalog import build_wear_corpus
 from repro.apps.health import HEART_RATE_PACKAGE
-from repro.farm.shard import run_segment
+from repro.experiments.config import QUICK
+from repro.farm.shard import build_rig, run_segment
 from repro.qgj.campaigns import Campaign
-from repro.qgj.fuzzer import FuzzConfig, FuzzerLibrary
-from repro.wear.device import WearDevice
+from repro.qgj.fuzzer import FuzzConfig
 
 _QUICK_STRIDES = {Campaign.A: 12, Campaign.B: 1, Campaign.C: 2, Campaign.D: 1}
 
@@ -53,13 +53,6 @@ class AblationRow:
     notes: str = ""
 
 
-def _fresh_watch(seed: int = 2018, wedge_deliveries: int = 25, **device_kwargs) -> WearDevice:
-    corpus = build_wear_corpus(seed=seed, wedge_deliveries=wedge_deliveries)
-    watch = WearDevice("ablation-watch", **device_kwargs)
-    corpus.install(watch)
-    return watch
-
-
 def ablate_aging_threshold(
     thresholds: Sequence[float] = (2.0, 4.0, 8.0, 16.0, 32.0)
 ) -> List[AblationRow]:
@@ -73,8 +66,10 @@ def ablate_aging_threshold(
     """
     rows = []
     for threshold in thresholds:
-        watch = _fresh_watch(reboot_threshold=threshold)
-        fuzzer = FuzzerLibrary(watch)
+        _, fuzzer = build_rig(QUICK)
+        watch = fuzzer.device
+        # Read only when damage is checked, so setting it after boot is exact.
+        watch.system_server.reboot_threshold = threshold
         crashes = 0
         for package, campaign in (
             (HEART_RATE_PACKAGE, Campaign.A),
@@ -107,8 +102,8 @@ def ablate_wedge_deliveries(
     """
     rows = []
     for wedge in values:
-        watch = _fresh_watch(wedge_deliveries=wedge)
-        fuzzer = FuzzerLibrary(watch)
+        _, fuzzer = build_rig(QUICK, corpus=build_wear_corpus(seed=2018, wedge_deliveries=wedge))
+        watch = fuzzer.device
         result = fuzzer.fuzz_app(
             HEART_RATE_PACKAGE, Campaign.A, FuzzConfig(strides=_QUICK_STRIDES)
         )
@@ -138,8 +133,8 @@ def ablate_pacing(
     """
     rows = []
     for delay in delays_ms:
-        watch = _fresh_watch()
-        fuzzer = FuzzerLibrary(watch)
+        _, fuzzer = build_rig(QUICK)
+        watch = fuzzer.device
         config = FuzzConfig(strides=_QUICK_STRIDES, intent_delay_ms=delay)
         result = fuzzer.fuzz_app(AMBIENT_BINDER_PACKAGE, Campaign.D, config)
         rows.append(
@@ -185,12 +180,9 @@ def ablate_stride(
     """
     rows = []
     for scale in scales:
-        corpus = build_wear_corpus(seed=2018)
-        watch = WearDevice("stride-watch")
-        corpus.install(watch)
+        corpus, fuzzer = build_rig(QUICK)
         collector = StudyCollector(corpus.packages())
-        fuzzer = FuzzerLibrary(watch)
-        watch.adb.logcat_clear()
+        fuzzer.device.adb.logcat_clear()
         for package in packages:
             for campaign in Campaign:
                 run_segment(fuzzer, collector, package, campaign, FuzzConfig(strides=dict(scale)))
@@ -236,25 +228,10 @@ def ablate_vendor_layer(
     crash behaviour.  The vendor app's crashes exist only on real hardware,
     quantifying what single-device studies miss.
     """
-    from repro.apps.catalog import emulator_packages
-    from repro.apps.builtin import google_fit_spec_key
-    from repro.apps.health import register_health_factories
-
     rows: List[VendorAblationRow] = []
-
-    for label, is_emulator in (("moto360 (vendor layer)", False), ("emulator (no vendor)", True)):
-        corpus = build_wear_corpus(seed=2018)
-        device = WearDevice("vendor-ablation", is_emulator=is_emulator)
-        if is_emulator:
-            packages = emulator_packages(corpus)
-            corpus.registry.install(device.activity_manager)
-            register_health_factories(device.activity_manager)
-            google_fit_spec_key(corpus.registry, device.activity_manager)
-            for package in packages:
-                device.install(package)
-        else:
-            corpus.install(device)
-        fuzzer = FuzzerLibrary(device)
+    for label, kind in (("moto360 (vendor layer)", "wear"), ("emulator (no vendor)", "emulator")):
+        _, fuzzer = build_rig(QUICK, kind)
+        device = fuzzer.device
         collector = StudyCollector(device.packages.installed_packages())
         device.adb.logcat_clear()
         builtin_packages = [
@@ -310,23 +287,19 @@ def ablate_guided_vs_blind(
     collector, the guided side from dispatch-observed crashes -- so neither
     side gets credit for a signal the other cannot see.
     """
-    from repro.experiments.config import QUICK
     from repro.guided import GuidedConfig, run_guided_study
 
     if config is None:
         config = QUICK
     if guided is None:
         guided = GuidedConfig()
-    corpus = build_wear_corpus(seed=config.corpus_seed)
-    if packages is None:
-        packages = [app.package.package for app in corpus.apps]
 
     # -- blind: the paper's fixed volumes, logcat-classified ----------------------
-    watch = WearDevice("guided-ablation", logcat_capacity=config.logcat_capacity)
-    corpus.install(watch)
+    corpus, fuzzer = build_rig(config)
+    if packages is None:
+        packages = [app.package.package for app in corpus.apps]
     collector = StudyCollector(corpus.packages())
-    fuzzer = FuzzerLibrary(watch)
-    watch.adb.logcat_clear()
+    fuzzer.device.adb.logcat_clear()
     blind_sent = 0
     for package in packages:
         for campaign in Campaign:
@@ -440,8 +413,9 @@ def ablate_os_chaos(
             )
             plan = faults.FaultPlan(seed=seed, compat=compat, **intervals)
         with faults.session(plan):
-            watch = _fresh_watch()
-            fuzzer = FuzzerLibrary(watch)
+            # No runtime: the unbound devices reach the session's plan.
+            _, fuzzer = build_rig(QUICK)
+            watch = fuzzer.device
             crashes = retries = failures = mismatches = 0
             quarantined = set()
             for package in packages:

@@ -7,46 +7,21 @@ all four campaigns, targeting a Nexus 6 running Android 7.1.1 […] After
 filtering the apps by the prefix com.android, we found 63 apps (595
 Activities and 218 Services)."
 
-Like the wear study, execution is sharded per package through
-:mod:`repro.farm` -- one fresh Nexus 6 per shard -- and ``workers=N`` fans
-the shards out across supervised worker processes with bit-identical
-merged results (see :mod:`repro.farm.supervisor` for the deadline / retry
-/ poison-quarantine semantics).
+The phone study is the wear study on another test bed: it runs through
+:func:`~repro.experiments.wear_experiment.run_wear_study` with
+``kind="phone"``, so every package is a shard on its own fresh Nexus 6
+(:func:`~repro.farm.shard.build_rig`'s ``phone`` bed) and ``workers=N``
+fans the shards out with bit-identical merged results.  It exposes no
+checkpoint journal.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro import faults
-from repro.analysis.manifest import StudyCollector
-from repro.apps.catalog import Corpus, build_phone_corpus
 from repro.experiments.config import QUICK, ExperimentConfig
-from repro.farm import (
-    StudyHealthReport,
-    drive_study,
-    merge_collectors,
-    merge_summaries,
-    plan_shards,
-)
+from repro.experiments.wear_experiment import StudyResult, run_wear_study
 from repro.qgj.campaigns import Campaign
-from repro.qgj.results import FuzzSummary
-
-
-@dataclasses.dataclass
-class PhoneStudyResult:
-    collector: StudyCollector
-    summary: FuzzSummary
-    corpus: Corpus
-    config: ExperimentConfig
-    shard_clock_ms: Tuple[float, ...] = ()
-    #: Per-shard supervision account (attempts, outcomes, dropped coverage).
-    health: Optional[StudyHealthReport] = None
-
-    @property
-    def intents_sent(self) -> int:
-        return self.summary.total_sent
 
 
 def run_phone_study(
@@ -57,37 +32,20 @@ def run_phone_study(
     shard_timeout: Optional[float] = None,
     max_shard_attempts: Optional[int] = None,
     allow_partial: bool = False,
-) -> PhoneStudyResult:
+) -> StudyResult:
     """Run the four campaigns against the ``com.android.*`` population.
 
-    The supervision knobs mirror
-    :func:`~repro.experiments.wear_experiment.run_wear_study`: per-shard
-    deadline, bounded retries, and -- with *allow_partial* -- poison
-    quarantine with a degraded study instead of an aborted one.
+    The supervision knobs are :func:`run_wear_study`'s: per-shard deadline,
+    bounded retries, and -- with *allow_partial* -- poison quarantine with a
+    degraded study instead of an aborted one.
     """
-    corpus = build_phone_corpus(seed=config.phone_seed)
-    if packages is None:
-        packages = [app.package.package for app in corpus.apps]
-    plane = faults.get()
-    specs = plan_shards(
-        "phone",
+    return run_wear_study(
         config,
         packages,
         campaigns,
-        base_plan=plane.plan if plane.armed else None,
-    )
-    results, health = drive_study(
-        specs,
         workers=workers,
         shard_timeout=shard_timeout,
         max_shard_attempts=max_shard_attempts,
         allow_partial=allow_partial,
-    )
-    return PhoneStudyResult(
-        collector=merge_collectors(results),
-        summary=merge_summaries(results),
-        corpus=corpus,
-        config=config,
-        shard_clock_ms=tuple(result.clock_ms for result in results),
-        health=health,
+        kind="phone",
     )

@@ -17,9 +17,9 @@ from typing import Optional
 from repro import faults, telemetry
 from repro.analysis import figures, report, tables
 from repro.experiments.config import ExperimentConfig, by_name
-from repro.experiments.phone_experiment import PhoneStudyResult, run_phone_study
+from repro.experiments.phone_experiment import run_phone_study
 from repro.experiments.ui_experiment import UiStudyResult, run_ui_study
-from repro.experiments.wear_experiment import WearStudyResult, run_wear_study
+from repro.experiments.wear_experiment import StudyResult, run_wear_study
 
 from repro.apps.profiles import DEFAULT_COHORT_SPEC, parse_cohort_spec
 from repro.farm.health import ShardPoisonedError, StudyInterrupted
@@ -53,12 +53,12 @@ def _study_cache(fn):
 
 
 @_study_cache
-def wear_study(config: ExperimentConfig, **kwargs) -> WearStudyResult:
+def wear_study(config: ExperimentConfig, **kwargs) -> StudyResult:
     return run_wear_study(config, **kwargs)
 
 
 @_study_cache
-def phone_study(config: ExperimentConfig, **kwargs) -> PhoneStudyResult:
+def phone_study(config: ExperimentConfig, **kwargs) -> StudyResult:
     return run_phone_study(config, **kwargs)
 
 
@@ -319,7 +319,11 @@ def main(argv=None) -> int:
         print(f"{exc}\n{USAGE}", file=sys.stderr)
         return 2
     config_name = opts.config
-    by_name(config_name)  # validate early
+    try:
+        by_name(config_name)  # validate early
+    except ValueError as exc:
+        print(f"{exc}\n{USAGE}", file=sys.stderr)
+        return 2
     if opts.workers != "auto":
         try:
             workers_given = int(opts.workers)

@@ -5,8 +5,9 @@ API level 25) and paired it with a Nexus 6 phone.  The choice of the Watch
 emulator […] was so that we could study the core functionality in isolation
 rather than together with the vendor-specific extensions."
 
-The emulator therefore carries the non-vendor built-ins plus the top-20
-third-party apps, and both mutation modes replay the *same* monkey stream.
+The emulator -- :func:`~repro.farm.shard.build_rig`'s ``emulator`` bed --
+therefore carries the non-vendor built-ins plus the top-20 third-party
+apps, and both mutation modes replay the *same* monkey stream.
 """
 
 from __future__ import annotations
@@ -14,19 +15,17 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-from repro.apps.builtin import google_fit_spec_key
-from repro.apps.catalog import Corpus, build_wear_corpus, emulator_packages
-from repro.apps.health import register_health_factories
+from repro.apps.catalog import Corpus
 from repro.experiments.config import QUICK, ExperimentConfig
+from repro.farm.shard import build_rig
 from repro.qgj.ui_fuzzer import MutationMode, QGJUi, UiInjectionResult
-from repro.wear.device import PhoneDevice, WearDevice, pair
+from repro.wear.device import WearDevice
 
 
 @dataclasses.dataclass
 class UiStudyResult:
     results: Dict[str, UiInjectionResult]
     emulator: WearDevice
-    phone: PhoneDevice
     corpus: Corpus
     config: ExperimentConfig
 
@@ -41,28 +40,7 @@ class UiStudyResult:
 
 def run_ui_study(config: ExperimentConfig = QUICK) -> UiStudyResult:
     """Run QGJ-UI at *config*'s event volume, both mutation modes."""
-    corpus = build_wear_corpus(seed=config.corpus_seed)
-    emulator = WearDevice(
-        "watch-emulator",
-        model="Android Watch Emulator (API 25)",
-        is_emulator=True,
-        logcat_capacity=config.logcat_capacity,
-    )
-    phone = PhoneDevice("nexus6", model="Nexus 6")
-    pair(phone, emulator)
-    selection = emulator_packages(corpus)
-    corpus.registry.install(emulator.activity_manager)
-    register_health_factories(emulator.activity_manager, wedge_deliveries=corpus.wedge_deliveries)
-    google_fit_spec_key(corpus.registry, emulator.activity_manager)
-    for package in selection:
-        emulator.install(package)
-
-    qgj_ui = QGJUi(emulator, seed=config.ui_seed)
-    results = qgj_ui.run(config.ui_events)
-    return UiStudyResult(
-        results=results,
-        emulator=emulator,
-        phone=phone,
-        corpus=corpus,
-        config=config,
-    )
+    corpus, fuzzer = build_rig(config, "emulator")
+    emulator = fuzzer.device
+    results = QGJUi(emulator, seed=config.ui_seed).run(config.ui_events)
+    return UiStudyResult(results=results, emulator=emulator, corpus=corpus, config=config)

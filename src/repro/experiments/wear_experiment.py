@@ -19,7 +19,8 @@ sequentially in-process; ``workers=N`` fans them out across supervised
 worker processes (deadlines, heartbeat liveness, bounded retries, poison
 quarantine -- see :mod:`repro.farm.supervisor`).  Because each shard is a
 pure function of its spec, the merged study is bit-identical at any worker
-count, even when a shard needed a retry to complete.
+count, even when a shard needed a retry to complete.  The phone comparison
+runs through this same driver (see :mod:`repro.experiments.phone_experiment`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro import faults
 from repro.analysis.manifest import StudyCollector
-from repro.apps.catalog import Corpus, build_wear_corpus
+from repro.apps.catalog import Corpus
 from repro.experiments.config import QUICK, ExperimentConfig
 from repro.farm import (
     StudyHealthReport,
@@ -39,13 +40,14 @@ from repro.farm import (
     merge_summaries,
     plan_shards,
 )
+from repro.farm.shard import build_corpus
 from repro.qgj.campaigns import Campaign
 from repro.qgj.results import FuzzSummary
 
 
 @dataclasses.dataclass
-class WearStudyResult:
-    """Everything a wear-study run produces."""
+class StudyResult:
+    """Everything a wear- or phone-study run produces."""
 
     collector: StudyCollector
     summary: FuzzSummary
@@ -82,8 +84,12 @@ def run_wear_study(
     shard_timeout: Optional[float] = None,
     max_shard_attempts: Optional[int] = None,
     allow_partial: bool = False,
-) -> WearStudyResult:
-    """Run the complete wearable fuzzing study.
+    kind: str = "wear",
+) -> StudyResult:
+    """Run the complete wearable fuzzing study, or on *kind*'s test bed.
+
+    *kind* picks the bed and its population (see
+    :func:`~repro.farm.shard.build_rig`); ``"phone"`` is the phone study.
 
     With *journal_path*, a study manifest plus one checkpoint journal per
     shard record each shard's header and, once the shard finishes, its
@@ -120,12 +126,12 @@ def run_wear_study(
         packages = list(header["packages"])
         campaigns = tuple(Campaign(value) for value in header["campaigns"])
 
-    corpus = build_wear_corpus(seed=config.corpus_seed)
+    corpus = build_corpus(kind, config)
     if packages is None:
         packages = [app.package.package for app in corpus.apps]
     plane = faults.get()
     specs = plan_shards(
-        "wear",
+        kind,
         config,
         packages,
         campaigns,
@@ -150,7 +156,7 @@ def run_wear_study(
         max_shard_attempts=max_shard_attempts,
         allow_partial=allow_partial,
     )
-    return WearStudyResult(
+    return StudyResult(
         collector=merge_collectors(results),
         summary=merge_summaries(results),
         corpus=corpus,

@@ -14,8 +14,9 @@ evidence.  This package is that farm for the simulator:
   per shard with its *own* scoped fault plane and telemetry handle
   (:class:`~repro.android.runtime.RuntimeContext`), runs the shard's
   ``(package, campaign)`` segments, and returns a picklable
-  :class:`ShardResult`; also the paper's device recipe and
-  :func:`run_segment`, the fuzz / pull log / fold / clear step every
+  :class:`ShardResult`; also :func:`build_rig`, the one recipe for the
+  paper's three test beds that builds every device the program fuzzes,
+  and :func:`run_segment`, the fuzz / pull log / fold / clear step every
   blind shard and ablation shares;
 * :mod:`repro.farm.pool` -- :func:`drive_study`: the one study driver every
   study (wear, phone, fleet, each guided round) ends with -- stamps the
@@ -69,7 +70,7 @@ from repro.farm.merge import (
 )
 from repro.farm.partition import derive_plan, derive_seed, plan_shards, shard_packages
 from repro.farm.pool import drive_study, resolve_workers
-from repro.farm.shard import ShardResult, ShardSpec, run_segment, run_shard
+from repro.farm.shard import ShardResult, ShardSpec, build_rig, run_segment, run_shard
 from repro.farm.supervisor import (
     DEFAULT_POLICY,
     SupervisedRun,
@@ -90,6 +91,7 @@ __all__ = [
     "SupervisionPolicy",
     "WorkerHeartbeat",
     "absorb_telemetry",
+    "build_rig",
     "derive_plan",
     "derive_seed",
     "drive_study",

@@ -10,18 +10,19 @@ and (in worker processes) its own telemetry handle, runs the shard's
 whole determinism argument: a shard cannot observe which worker ran it,
 what ran before it, or how many siblings it has.
 
-The paper's harness lives here once: :func:`_build_rig` is the device
-recipe (a paired Moto 360 + Nexus 4 with the corpus installed and QGJ
-deployed, or a lone Nexus 6 for the phone study) and :func:`run_segment`
-is one segment of the rhythm.  The wear and phone studies share one
-blind-shard body around that step, the guided shard reuses the recipe, and
-the ablations call the step directly.
+The paper's harness lives here once: :func:`build_rig` is the one recipe
+for its three test beds (a Moto 360 paired with a Nexus 4, a lone Nexus 6,
+and a Watch emulator paired with a Nexus 6), and :func:`run_segment` is one
+segment of the rhythm.  Every device the program fuzzes comes from the
+recipe -- wear, phone and guided shards, fleet pairs, the QGJ-UI study and
+the ablations -- and the wear and phone studies share one blind-shard body
+around the step, which the ablations also call directly.
 
 Checkpointing is per shard and holds results, never devices: a journalled
 shard writes its :class:`~repro.faults.journal.CheckpointJournal` header
 when it starts and one result record once its last segment folds.  A
 resumed shard that finished returns that record, once its journal header
-matches the live shard; any other shard re-runs from :func:`_build_rig`,
+matches the live shard; any other shard re-runs from :func:`build_rig`,
 which is exact because the shard is deterministic on its own seed and
 clock.
 """
@@ -30,11 +31,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.analysis.manifest import StudyCollector
+from repro.android.clock import Clock
 from repro.android.runtime import RuntimeContext
-from repro.apps.catalog import build_phone_corpus, build_wear_corpus
+from repro.apps.catalog import build_phone_corpus, build_wear_corpus, emulator_packages
 from repro.farm.health import CrashPolicy, WorkerHeartbeat, crash_for
 from repro.faults.journal import CheckpointJournal, KillSwitch
 from repro.faults.plan import FaultPlan
@@ -63,6 +65,7 @@ from repro.wear.device import PhoneDevice, WearDevice, pair
 
 if TYPE_CHECKING:  # pragma: no cover - avoids the experiments<->farm cycle
     from repro.apps.catalog import Corpus
+    from repro.apps.profiles import DeviceProfile
     from repro.experiments.config import ExperimentConfig
     from repro.fleet.pairs import PairSpec, PairSummary
 
@@ -256,39 +259,72 @@ def _beat(heartbeat: Optional[WorkerHeartbeat]) -> None:
         heartbeat.beat()
 
 
-def _build_rig(
-    spec: ShardSpec, runtime: RuntimeContext, kill_switch: Optional[KillSwitch]
-) -> Tuple["Corpus", FuzzerLibrary]:
-    """The paper's device recipe, fresh on a virtual clock at zero.
+#: Device names and models of the paired beds: (watch, its model, phone,
+#: its model).  The names reach boot log lines and adb error text.
+_PAIRED_BEDS = {
+    "wear": ("moto360", "Moto 360", "nexus4", "LG Nexus 4"),
+    "emulator": ("watch-emulator", "Android Watch Emulator (API 25)", "nexus6", "Nexus 6"),
+}
 
-    Wear and guided shards get a Moto 360 paired with a Nexus 4, the wear
-    corpus installed on the watch and QGJ deployed on both devices (built
-    in that order: watch, phone, pair, install, deploy).  Phone shards get
-    a lone Nexus 6 with the ``com.android.*`` corpus.  Returns the corpus
-    and a fuzzer bound to the fuzzed device (``fuzzer.device``).
+
+def build_corpus(kind: str, config: "ExperimentConfig") -> "Corpus":
+    """The population a *kind* of bed fuzzes: ``com.android.*`` or wear apps."""
+    if kind == "phone":
+        return build_phone_corpus(seed=config.phone_seed)
+    return build_wear_corpus(seed=config.corpus_seed)
+
+
+def build_rig(
+    config: "ExperimentConfig",
+    kind: str = "wear",
+    runtime: Optional[RuntimeContext] = None,
+    kill_switch: Optional[KillSwitch] = None,
+    *,
+    corpus: Optional["Corpus"] = None,
+    packages: Optional[Sequence[str]] = None,
+    profile: Optional["DeviceProfile"] = None,
+    pair_id: Optional[int] = None,
+    clock: Optional[Clock] = None,
+) -> Tuple["Corpus", FuzzerLibrary]:
+    """One of the paper's three test beds, fresh on its own virtual clock.
+
+    ``wear`` (Sec. III-D) pairs a Moto 360 with an LG Nexus 4, installs the
+    wear corpus on the watch and deploys QGJ on both, in that order;
+    ``phone`` (Sec. IV-C) is a lone Nexus 6 with the ``com.android.*``
+    corpus and the QGJ Mobile sender; ``emulator`` (Sec. III-E) pairs a
+    Watch emulator with a Nexus 6 and installs only
+    :func:`~repro.apps.catalog.emulator_packages`, with no QGJ.  *corpus*
+    reuses a built population and *packages* installs only that slice of
+    it; a fleet pair also passes its cohort *profile* (watch model, link
+    latency), *pair_id* (``watch-NNNN`` / ``phone-NNNN``) and the
+    scheduler's *clock*.  Returns the corpus and a fuzzer bound to the
+    fuzzed device (``fuzzer.device``).
     """
-    config = spec.config
-    if spec.study == "phone":
-        corpus = build_phone_corpus(seed=config.phone_seed)
-        phone = PhoneDevice(
-            "nexus6",
-            model="Nexus 6",
-            logcat_capacity=config.logcat_capacity,
-            runtime=runtime,
-        )
-        corpus.install(phone)
-        fuzzer = FuzzerLibrary(
-            phone, sender_package=QGJ_MOBILE_PACKAGE, kill_switch=kill_switch
-        )
-        return corpus, fuzzer
-    corpus = build_wear_corpus(seed=config.corpus_seed)
-    watch = WearDevice("moto360", logcat_capacity=config.logcat_capacity, runtime=runtime)
-    phone = PhoneDevice("nexus4", model="LG Nexus 4", runtime=runtime)
-    pair(phone, watch)
-    corpus.install(watch)
-    deploy(phone, watch)  # QGJ on both devices, as in the paper's setup
-    fuzzer = FuzzerLibrary(watch, sender_package=QGJ_WEAR_PACKAGE, kill_switch=kill_switch)
-    return corpus, fuzzer
+    if corpus is None:
+        corpus = build_corpus(kind, config)
+    capacity = config.logcat_capacity
+    if kind == "phone":
+        phone = PhoneDevice("nexus6", logcat_capacity=capacity, runtime=runtime, clock=clock)
+        corpus.install(phone, only=packages)
+        return corpus, FuzzerLibrary(phone, QGJ_MOBILE_PACKAGE, kill_switch=kill_switch)
+    watch_name, watch_model, phone_name, phone_model = _PAIRED_BEDS[kind]
+    if pair_id is not None:
+        watch_name, phone_name = f"watch-{pair_id:04d}", f"phone-{pair_id:04d}"
+    link = {}
+    if profile is not None:
+        watch_model, link = profile.model, {"latency_ms": profile.latency_ms}
+    watch = WearDevice(
+        watch_name, model=watch_model, is_emulator=kind == "emulator",
+        logcat_capacity=capacity, runtime=runtime, clock=clock,
+    )
+    phone = PhoneDevice(phone_name, model=phone_model, runtime=runtime)
+    pair(phone, watch, **link)
+    if kind == "emulator":
+        packages = [package.package for package in emulator_packages(corpus)]
+    corpus.install(watch, only=packages)
+    if kind == "wear":
+        deploy(phone, watch)
+    return corpus, FuzzerLibrary(watch, QGJ_WEAR_PACKAGE, kill_switch=kill_switch)
 
 
 @contextlib.contextmanager
@@ -331,7 +367,7 @@ def _run_blind_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attem
             _check_record(journal, record, header)
             return record
     crash = _crash_policy(spec)
-    corpus, fuzzer = _build_rig(spec, runtime, kill_switch)
+    corpus, fuzzer = build_rig(spec.config, spec.study, runtime, kill_switch)
     device = fuzzer.device
     collector = StudyCollector(corpus.packages())
     summary = FuzzSummary(device=device.name)
@@ -392,7 +428,7 @@ def _run_guided_shard(spec, handle, runtime, kill_switch, heartbeat, attempt) ->
     if spec.journal_path is not None:
         raise ValueError("the guided study does not support checkpoint journals")
     crash = _crash_policy(spec)
-    corpus, fuzzer = _build_rig(spec, runtime, kill_switch)
+    corpus, fuzzer = build_rig(spec.config, "wear", runtime, kill_switch)
     watch = fuzzer.device
     if crash is not None and crash.triggers(attempt, 0):
         crash.fire(spec.key, attempt, 0)

@@ -6,7 +6,10 @@ package slice under its own derived seed and cohort-composed fault plan.
 :func:`pair_task` is a generator in the
 :class:`~repro.android.clock.FleetScheduler` protocol -- it yields the
 absolute virtual deadline of every pacing sleep and returns a picklable,
-JSON-serializable :class:`PairSummary`.
+JSON-serializable :class:`PairSummary`.  The pair is
+:func:`~repro.farm.shard.build_rig`'s wear bed with the cohort's watch
+model and link latency, on the scheduler's clock, carrying its package
+slice of the lane's shared corpus.
 
 Everything a pair does is a pure function of its :class:`PairSpec` (plus
 the shared read-only corpus): devices are named by pair id, seeds and
@@ -25,14 +28,14 @@ from repro.android.runtime import RuntimeContext
 from repro.apps.catalog import Corpus
 from repro.apps.profiles import BATTERY_LOW_PCT, FLEET_COHORTS, DeviceProfile
 from repro.experiments.config import ExperimentConfig
+from repro.farm.shard import build_rig
 from repro.faults.journal import KillSwitch
 from repro.faults.plan import FaultPlan
 from repro.faults.plane import NOOP_PLANE, FaultPlane
 from repro.qgj.campaigns import Campaign
-from repro.qgj.fuzzer import QGJ_WEAR_PACKAGE, FuzzerLibrary
-from repro.qgj.master import deploy
+from repro.qgj.fuzzer import FuzzerLibrary
 from repro.wear.ambient import DisplayState
-from repro.wear.device import PhoneDevice, WearDevice, pair
+from repro.wear.device import WearDevice
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.guided.study import GuidedConfig
@@ -274,21 +277,12 @@ def pair_task(
         else NOOP_PLANE
     )
     runtime = RuntimeContext(fault_plane=plane, telemetry_handle=telemetry_handle)
-    watch = WearDevice(
-        f"watch-{spec.pair_id:04d}",
-        model=profile.model,
-        logcat_capacity=spec.config.logcat_capacity,
-        runtime=runtime,
-        clock=clock,
+    _, fuzzer = build_rig(
+        spec.config, "wear", runtime, kill_switch, corpus=corpus, packages=spec.packages,
+        profile=profile, pair_id=spec.pair_id, clock=clock,
     )
-    phone = PhoneDevice(f"phone-{spec.pair_id:04d}", runtime=runtime)
-    pair(phone, watch, latency_ms=profile.latency_ms)
-    corpus.install(watch, only=spec.packages)
-    deploy(phone, watch)
+    watch = fuzzer.device
     _arm_power_model(watch, profile)
-    fuzzer = FuzzerLibrary(
-        watch, sender_package=QGJ_WEAR_PACKAGE, kill_switch=kill_switch
-    )
     sent = delivered = crashes = anrs = not_found = 0
     security = transport = compat = retries = quarantined = 0
     for package_name in spec.packages:

@@ -240,7 +240,7 @@ class TestPhoneCorpus:
 class TestEmulatorSelection:
     def test_excludes_vendor_and_caps_third_party(self):
         corpus = build_wear_corpus(seed=2018)
-        selection = emulator_packages(corpus, top_third_party=20)
+        selection = emulator_packages(corpus)
         assert all(not p.vendor for p in selection)
         third = [p for p in selection if not p.is_built_in]
         assert len(third) == 20
@@ -262,7 +262,7 @@ class TestEmulatorSelection:
 
     def test_fragile_apps_are_third_party(self):
         corpus = build_wear_corpus(seed=2018)
-        selection = emulator_packages(corpus, fragile_apps=3)
+        selection = emulator_packages(corpus)
         fragile = []
         for package in selection:
             launcher = package.launcher_activity()

@@ -193,15 +193,20 @@ class TestShardGranularResume:
 
     @pytest.fixture
     def rigs(self, monkeypatch):
-        """Counts fresh device rigs built while the test runs."""
-        built = []
-        original = shard_module._build_rig
+        """The keys of the shards that build a fresh device rig in the test."""
+        built, current = [], []
+        run_blind_shard, build_rig = shard_module._run_blind_shard, shard_module.build_rig
 
-        def counting(spec, runtime, kill_switch):
-            built.append(spec.key)
-            return original(spec, runtime, kill_switch)
+        def tracking(spec, *args):
+            current[:] = [spec.key]
+            return run_blind_shard(spec, *args)
 
-        monkeypatch.setattr(shard_module, "_build_rig", counting)
+        def counting(*args, **kwargs):
+            built.append(current[0])
+            return build_rig(*args, **kwargs)
+
+        monkeypatch.setattr(shard_module, "_run_blind_shard", tracking)
+        monkeypatch.setattr(shard_module, "build_rig", counting)
         return built
 
     def _run(self, **kwargs):

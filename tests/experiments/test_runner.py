@@ -29,9 +29,11 @@ class TestCaching:
 
 
 class TestMain:
-    def test_main_validates_config_name(self):
-        with pytest.raises(ValueError):
-            runner.main(["not-a-config"])
+    def test_main_validates_config_name(self, capsys):
+        assert runner.main(["bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err
+        assert "usage: python -m repro" in err
 
     def test_main_prints_report(self, monkeypatch, capsys):
         monkeypatch.setattr(runner, "full_report", lambda name: f"REPORT[{name}]")
