@@ -23,9 +23,11 @@ from repro.experiments.wear_experiment import StudyResult, run_wear_study
 
 from repro.apps.profiles import DEFAULT_COHORT_SPEC, parse_cohort_spec
 from repro.farm.health import ShardPoisonedError, StudyInterrupted
+from repro.farm.journal import StudyManifest
 from repro.farm.pool import resolve_workers
 from repro.faults.errors import CampaignKilled
 from repro.faults.plan import BASE_WEAR_API, FaultPlan
+from repro.faults.plane import NOOP_PLANE
 
 
 def _study_cache(fn):
@@ -195,12 +197,12 @@ options:
   --lanes M        cooperative schedulers per fleet, each multiplexing its
                    strided share of the pairs (default: 1; requires
                    --fleet; output is packing-invariant)
-  --journal FILE   checkpoint the wear study to FILE: each shard's journal
-                   holds a header and, once the shard finishes, its
-                   result; prints the study summary
-  --resume FILE    resume a journalled wear study: load the finished
-                   shards and re-run the rest; reproduces the summary the
-                   uninterrupted run would have produced
+  --journal FILE   checkpoint the study to FILE: a manifest naming its study
+                   (wear, or fleet with --fleet) over per-shard journals of
+                   finished work; prints the study summary
+  --resume FILE    resume the study FILE's manifest names (wear or fleet):
+                   load the finished work and re-run the rest; reproduces
+                   the summary the uninterrupted run would have produced
   --kill-after N   simulate the host dying after N injections study-wide
                    (exit 3, resumable from the journal; at --workers N > 1
                    the counter is shared across all workers)
@@ -302,6 +304,35 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _usage(message: str) -> int:
+    """Print *message* and the usage to stderr; return the usage exit code."""
+    print(f"{message}\n{USAGE}", file=sys.stderr)
+    return 2
+
+
+#: The flags only one kind of run reads: (the flag that enables the kind,
+#: its option name, the flags it owns).
+_OWNED_FLAGS = (
+    ("--fleet", "fleet", ("--cohorts", "--lanes")),
+    ("--telemetry DIR", "telemetry_dir", ("--telemetry-sample", "--profile")),
+    ("--guided", "guided", ("--corpus-dir", "--scheduler", "--guided-budget")),
+)
+
+#: The flags whose values must be >= 1 when given.
+_AT_LEAST_ONE = (
+    "--fleet",
+    "--lanes",
+    "--max-shard-attempts",
+    "--telemetry-sample",
+    "--guided-budget",
+)
+
+
+def _dest(flag: str) -> str:
+    """The parsed-options attribute that holds *flag*'s value."""
+    return flag[2:].replace("-", "_")
+
+
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     if args and args[0] in ("serve", "submit", "status"):
@@ -313,90 +344,70 @@ def main(argv=None) -> int:
     if "-h" in args or "--help" in args:
         print(USAGE)
         return 0
+    parser = _build_parser()
     try:
-        opts = _build_parser().parse_args(args)
-    except _UsageError as exc:
-        print(f"{exc}\n{USAGE}", file=sys.stderr)
-        return 2
+        opts = parser.parse_args(args)
+        config = by_name(opts.config)
+    except (_UsageError, ValueError) as exc:
+        return _usage(str(exc))
     config_name = opts.config
-    try:
-        by_name(config_name)  # validate early
-    except ValueError as exc:
-        print(f"{exc}\n{USAGE}", file=sys.stderr)
-        return 2
-    if opts.workers != "auto":
+    workers = opts.workers
+    if workers != "auto":
         try:
-            workers_given = int(opts.workers)
+            workers = int(workers)
         except ValueError:
-            print(
-                f"--workers must be an integer or 'auto', got {opts.workers!r}"
-                f"\n{USAGE}",
-                file=sys.stderr,
-            )
-            return 2
-        if workers_given < 1:
-            print(
-                f"--workers must be >= 1, got {opts.workers}\n{USAGE}", file=sys.stderr
-            )
-            return 2
-    if opts.fleet is None:
-        for flag, value in (("--cohorts", opts.cohorts), ("--lanes", opts.lanes)):
-            if value is not None:
-                print(f"{flag} requires --fleet\n{USAGE}", file=sys.stderr)
-                return 2
-    else:
-        if opts.fleet < 1:
-            print(f"--fleet must be >= 1, got {opts.fleet}\n{USAGE}", file=sys.stderr)
-            return 2
-        if opts.lanes is not None and opts.lanes < 1:
-            print(f"--lanes must be >= 1, got {opts.lanes}\n{USAGE}", file=sys.stderr)
-            return 2
-        if opts.cohorts is not None:
-            try:
-                parse_cohort_spec(opts.cohorts)
-            except ValueError as exc:
-                print(f"--cohorts: {exc}\n{USAGE}", file=sys.stderr)
-                return 2
-        if opts.json_path is not None:
-            print(
-                f"--fleet cannot combine with --json (the fleet report has "
-                f"its own format)\n{USAGE}",
-                file=sys.stderr,
-            )
-            return 2
-    lanes = opts.lanes if opts.lanes is not None else 1
-    workers = resolve_workers(
-        opts.workers if opts.workers == "auto" else int(opts.workers),
-        units=lanes if opts.fleet is not None else None,
-    )
+            return _usage(f"--workers must be an integer or 'auto', got {opts.workers!r}")
+        if workers < 1:
+            return _usage(f"--workers must be >= 1, got {opts.workers}")
+    # Every flag is checked before anything is armed: a refused call
+    # leaves no fault plan installed and no telemetry session open.
+    for owner, owner_dest, flags in _OWNED_FLAGS:
+        if getattr(opts, owner_dest) == parser.get_default(owner_dest):
+            for flag in flags:
+                if getattr(opts, _dest(flag)) != parser.get_default(_dest(flag)):
+                    return _usage(f"{flag} requires {owner}")
+    for flag in _AT_LEAST_ONE:
+        value = getattr(opts, _dest(flag))
+        if value is not None and value < 1:
+            return _usage(f"{flag} must be >= 1, got {value}")
     if opts.shard_timeout is not None and opts.shard_timeout <= 0:
-        print(
-            f"--shard-timeout must be > 0, got {opts.shard_timeout}\n{USAGE}",
-            file=sys.stderr,
+        return _usage(f"--shard-timeout must be > 0, got {opts.shard_timeout}")
+    if opts.compat_skew is not None and not 0 <= opts.compat_skew < BASE_WEAR_API:
+        return _usage(
+            f"--compat-skew must be in [0, {BASE_WEAR_API - 1}], got {opts.compat_skew}"
         )
-        return 2
-    if opts.max_shard_attempts is not None and opts.max_shard_attempts < 1:
-        print(
-            f"--max-shard-attempts must be >= 1, got {opts.max_shard_attempts}\n{USAGE}",
-            file=sys.stderr,
+    if opts.cohorts is not None:
+        try:
+            parse_cohort_spec(opts.cohorts)
+        except ValueError as exc:
+            return _usage(f"--cohorts: {exc}")
+    if opts.scheduler not in (None, "ucb", "thompson"):
+        return _usage(f"--scheduler must be ucb or thompson, got {opts.scheduler!r}")
+    fleet_given = opts.fleet is not None
+    if fleet_given and opts.json_path is not None:
+        return _usage(
+            "--fleet cannot combine with --json (the fleet report has its own format)"
         )
-        return 2
-    supervision_kwargs = {}
-    if opts.shard_timeout is not None:
-        supervision_kwargs["shard_timeout"] = opts.shard_timeout
-    if opts.max_shard_attempts is not None:
-        supervision_kwargs["max_shard_attempts"] = opts.max_shard_attempts
-    if opts.allow_partial:
-        supervision_kwargs["allow_partial"] = True
-    if opts.compat_skew is not None and not (
-        0 <= opts.compat_skew < BASE_WEAR_API
-    ):
-        print(
-            f"--compat-skew must be in [0, {BASE_WEAR_API - 1}], got "
-            f"{opts.compat_skew}\n{USAGE}",
-            file=sys.stderr,
+    journal = opts.resume_path if opts.resume_path is not None else opts.journal_path
+    if opts.guided and not fleet_given:
+        # A guided *fleet* journals fine: lane journals checkpoint whole
+        # pairs and the manifest records the guided knobs for resume.
+        if opts.json_path is not None or journal is not None or opts.kill_after is not None:
+            return _usage("--guided cannot combine with --json or checkpointing flags")
+        if opts.allow_partial:
+            return _usage(
+                "--guided cannot combine with --allow-partial (a guided round "
+                "cannot attribute a poisoned package's blocks)"
+            )
+    if opts.kill_after is not None and journal is None:
+        return _usage("--kill-after needs --journal or --resume")
+    if fleet_given and opts.corpus_dir is not None:
+        return _usage(
+            "--corpus-dir cannot combine with --fleet (guided fleet pairs "
+            "keep pair-local corpora)"
         )
-        return 2
+    lanes = opts.lanes if opts.lanes is not None else 1
+    workers = resolve_workers(workers, units=lanes if fleet_given else None)
     # One composition rule, shared with the service daemon: --fault-seed
     # arms every stream, --service-fault-seed arms (or re-seeds onto) the
     # OS-service streams, --compat-skew pins the pair's API matrix.
@@ -405,206 +416,99 @@ def main(argv=None) -> int:
         service_fault_seed=opts.service_fault_seed,
         compat_skew=opts.compat_skew,
     )
+    kind = "fleet" if fleet_given else "guided" if opts.guided else "wear"
+    if opts.resume_path is not None:
+        # The manifest names its study, so a bare --resume runs that one;
+        # a journal this run cannot resume is refused before anything runs.
+        manifest = StudyManifest(opts.resume_path)
+        try:
+            if manifest.header().get("study") == "fleet":
+                kind = "fleet"
+            manifest.validate_resume(
+                study=kind,
+                config=config_name,
+                fault_fingerprint=(
+                    plan.fingerprint() if plan is not None else NOOP_PLANE.fingerprint()
+                ),
+                workers=workers,
+            )
+        except (OSError, ValueError) as exc:
+            return _usage(str(exc))
+
     if plan is not None:
         faults.install(plan)
-    if opts.telemetry_sample < 1:
-        print(
-            f"--telemetry-sample must be >= 1, got {opts.telemetry_sample}\n{USAGE}",
-            file=sys.stderr,
-        )
-        return 2
-    if opts.telemetry_dir is None and (opts.telemetry_sample != 1 or opts.profile):
-        flag = "--telemetry-sample" if opts.telemetry_sample != 1 else "--profile"
-        print(f"{flag} requires --telemetry DIR\n{USAGE}", file=sys.stderr)
-        return 2
-    if not opts.guided:
-        for flag, value in (
-            ("--corpus-dir", opts.corpus_dir),
-            ("--scheduler", opts.scheduler),
-            ("--guided-budget", opts.guided_budget),
-        ):
-            if value is not None:
-                print(f"{flag} requires --guided\n{USAGE}", file=sys.stderr)
-                return 2
-    else:
-        if opts.scheduler is not None and opts.scheduler not in ("ucb", "thompson"):
-            print(
-                f"--scheduler must be ucb or thompson, got {opts.scheduler!r}\n{USAGE}",
-                file=sys.stderr,
-            )
-            return 2
-        if opts.guided_budget is not None and opts.guided_budget < 1:
-            print(
-                f"--guided-budget must be >= 1, got {opts.guided_budget}\n{USAGE}",
-                file=sys.stderr,
-            )
-            return 2
-        if opts.fleet is None and (
-            opts.json_path is not None
-            or opts.journal_path is not None
-            or opts.resume_path is not None
-            or opts.kill_after is not None
-        ):
-            # A guided *fleet* journals fine: lane journals checkpoint whole
-            # pairs and the manifest records the guided knobs for resume.
-            print(
-                f"--guided cannot combine with --json or checkpointing flags\n{USAGE}",
-                file=sys.stderr,
-            )
-            return 2
-        if opts.fleet is None and opts.allow_partial:
-            print(
-                f"--guided cannot combine with --allow-partial (a guided round "
-                f"cannot attribute a poisoned package's blocks)\n{USAGE}",
-                file=sys.stderr,
-            )
-            return 2
     handle: Optional[telemetry.Telemetry] = None
     if opts.telemetry_dir is not None:
         handle = telemetry.enable(
             sample_every=opts.telemetry_sample, profile=opts.profile
         )
         handle.progress.add_listener(lambda snap: print(snap.render(), file=sys.stderr))
-    stateful = (
-        opts.journal_path is not None
-        or opts.resume_path is not None
-        or opts.kill_after is not None
-    )
-    journal = opts.resume_path if opts.resume_path is not None else opts.journal_path
+    # Only the knobs this run sets, so a plain run keeps the cached study.
+    study_kwargs = {
+        name: value
+        for name, value in (
+            ("shard_timeout", opts.shard_timeout),
+            ("max_shard_attempts", opts.max_shard_attempts),
+            ("allow_partial", True if opts.allow_partial else None),
+            ("workers", workers if workers != 1 else None),
+            ("journal_path", journal),
+            ("resume", True if opts.resume_path is not None else None),
+            ("kill_after_injections", opts.kill_after),
+        )
+        if value is not None
+    }
+    guided_config = None
+    if opts.guided:
+        from repro.guided import GuidedConfig
+
+        guided_config = GuidedConfig(
+            scheduler=opts.scheduler or "ucb", budget=opts.guided_budget
+        )
     resume_hint = (
         f"; resume with: python -m repro {config_name} --resume {journal}"
         if journal is not None
         else ""
     )
-    fleet_active = opts.fleet is not None
-    if not fleet_active and opts.resume_path is not None:
-        # A bare ``--resume FILE`` must route a fleet manifest back to the
-        # fleet study; the header records which study wrote it.
-        from repro.farm import StudyManifest
-
-        try:
-            fleet_active = (
-                StudyManifest(opts.resume_path).header().get("study") == "fleet"
-            )
-        except (OSError, ValueError):
-            fleet_active = False  # let the wear path surface the real error
-    if fleet_active and opts.corpus_dir is not None:
-        print(
-            f"--corpus-dir cannot combine with --fleet (guided fleet pairs "
-            f"keep pair-local corpora)\n{USAGE}",
-            file=sys.stderr,
-        )
-        return 2
     healths = []
     try:
         try:
-            if fleet_active:
-                from repro.fleet import run_fleet_study
-
-                guided_config = None
-                if opts.guided:
-                    from repro.guided import GuidedConfig
-
-                    guided_config = GuidedConfig(
-                        scheduler=opts.scheduler or "ucb",
-                        budget=opts.guided_budget,
-                    )
-                if opts.kill_after is not None and journal is None:
-                    print(
-                        f"--kill-after needs --journal or --resume\n{USAGE}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                study_kwargs = dict(supervision_kwargs)
-                if journal is not None:
-                    study_kwargs["journal_path"] = journal
-                if opts.resume_path is not None:
-                    study_kwargs["resume"] = True
-                if opts.kill_after is not None:
-                    study_kwargs["kill_after_injections"] = opts.kill_after
-                result = run_fleet_study(
-                    opts.fleet if opts.fleet is not None else 0,
-                    config=by_name(config_name),
-                    cohorts=(
-                        opts.cohorts if opts.cohorts is not None else DEFAULT_COHORT_SPEC
-                    ),
-                    lanes=lanes,
-                    workers=workers,
-                    guided=guided_config,
-                    **study_kwargs,
-                )
-                if result.health is not None:
-                    healths.append(result.health)
-                print(result.render_report())
-                print(
-                    f"{result.intents_sent} intents across {result.fleet_size} "
-                    f"pairs in {result.lanes} lane(s), "
-                    f"{result.virtual_hours():.1f} virtual pair-hours"
-                )
-            elif opts.guided:
-                from repro.guided import GuidedConfig, run_guided_study
-
-                guided_config = GuidedConfig(
-                    scheduler=opts.scheduler or "ucb",
-                    budget=opts.guided_budget,
-                )
-                result = run_guided_study(
-                    by_name(config_name),
-                    guided_config,
-                    workers=workers,
-                    **supervision_kwargs,
-                )
-                if opts.corpus_dir is not None:
-                    result.save(opts.corpus_dir)
-                    print(f"wrote {opts.corpus_dir}/corpus.jsonl", file=sys.stderr)
-                    print(f"wrote {opts.corpus_dir}/schedule.jsonl", file=sys.stderr)
-                print(result.render())
-            elif stateful:
-                if journal is None:
-                    print(
-                        f"--kill-after needs --journal or --resume\n{USAGE}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                study_kwargs = dict(supervision_kwargs)
-                study_kwargs["journal_path"] = journal
-                if opts.resume_path is not None:
-                    study_kwargs["resume"] = True
-                if opts.kill_after is not None:
-                    study_kwargs["kill_after_injections"] = opts.kill_after
-                if workers != 1:
-                    study_kwargs["workers"] = workers
-                result = wear_study(config_name, **study_kwargs)
-                if result.health is not None:
-                    healths.append(result.health)
-                print(result.summary.render())
-                print(
-                    f"{result.intents_sent} intents, {result.reboot_count} reboots, "
-                    f"{result.virtual_hours():.1f} virtual hours"
-                )
-            elif opts.json_path is not None:
-                if workers != 1 or supervision_kwargs:
-                    export_json(
-                        config_name,
-                        path=opts.json_path,
-                        workers=workers,
-                        healths=healths,
-                        **supervision_kwargs,
-                    )
+            if kind == "wear" and journal is None:
+                report_kwargs = dict(study_kwargs, healths=healths) if study_kwargs else {}
+                if opts.json_path is not None:
+                    export_json(config_name, path=opts.json_path, **report_kwargs)
+                    print(f"wrote {opts.json_path}")
                 else:
-                    export_json(config_name, path=opts.json_path)
-                print(f"wrote {opts.json_path}")
-            elif workers != 1 or supervision_kwargs:
-                print(
-                    full_report(
-                        config_name,
-                        workers=workers,
-                        healths=healths,
-                        **supervision_kwargs,
-                    )
-                )
+                    print(full_report(config_name, **report_kwargs))
             else:
-                print(full_report(config_name))
+                if kind == "guided":
+                    from repro.guided import run_guided_study
+
+                    result = run_guided_study(config, guided_config, **study_kwargs)
+                    if opts.corpus_dir is not None:
+                        result.save(opts.corpus_dir)
+                        print(f"wrote {opts.corpus_dir}/corpus.jsonl", file=sys.stderr)
+                        print(f"wrote {opts.corpus_dir}/schedule.jsonl", file=sys.stderr)
+                else:
+                    if kind == "fleet":
+                        from repro.fleet import run_fleet_study
+
+                        result = run_fleet_study(
+                            opts.fleet or 0,  # a resume reads it from the manifest
+                            config=config,
+                            cohorts=(
+                                opts.cohorts
+                                if opts.cohorts is not None
+                                else DEFAULT_COHORT_SPEC
+                            ),
+                            lanes=lanes,
+                            guided=guided_config,
+                            **study_kwargs,
+                        )
+                    else:
+                        result = wear_study(config_name, **study_kwargs)
+                    if result.health is not None:
+                        healths.append(result.health)
+                print(result.render())
         except CampaignKilled as exc:
             print(
                 f"campaign killed after {exc.injections} injections{resume_hint}",

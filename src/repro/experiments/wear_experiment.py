@@ -72,6 +72,14 @@ class StudyResult:
     def virtual_hours(self) -> float:
         return sum(self.shard_clock_ms) / 3_600_000.0
 
+    def render(self) -> str:
+        """The QGJ summary and its intents / reboots / virtual-hours line."""
+        return (
+            f"{self.summary.render()}\n"
+            f"{self.intents_sent} intents, {self.reboot_count} reboots, "
+            f"{self.virtual_hours():.1f} virtual hours"
+        )
+
 
 def run_wear_study(
     config: ExperimentConfig = QUICK,
@@ -93,10 +101,10 @@ def run_wear_study(
 
     With *journal_path*, a study manifest plus one checkpoint journal per
     shard record each shard's header and, once the shard finishes, its
-    result; a later call with ``resume=True`` (same config, fault plan, and
-    worker count) loads the finished shards, re-runs the rest, and --
-    because every shard is deterministic on its own seed and virtual clock
-    -- produces the identical final summary.  *kill_after_injections* arms
+    result; a later call with ``resume=True`` (same study kind, config,
+    fault plan, and worker count) loads the finished shards, re-runs the
+    rest, and -- because every shard is deterministic on its own seed and
+    virtual clock -- produces the identical final summary.  *kill_after_injections* arms
     a kill switch that raises :class:`~repro.faults.errors.CampaignKilled`
     mid-campaign, simulating the host dying (used by the resume tests and
     the CI chaos smoke); at ``workers>1`` the count is shared across worker
@@ -119,6 +127,7 @@ def run_wear_study(
         if manifest is None:
             raise ValueError("resume=True requires journal_path")
         header = manifest.validate_resume(
+            study=kind,
             config=config.name,
             fault_fingerprint=faults.fingerprint(),
             workers=workers,

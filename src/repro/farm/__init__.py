@@ -10,10 +10,10 @@ evidence.  This package is that farm for the simulator:
   and derives each shard's seed and fault plan (``corpus seed xor
   crc32(shard key)``), so a shard's behaviour is a pure function of its
   spec, never of which worker ran it or what ran before it;
-* :mod:`repro.farm.shard` -- :func:`run_shard`: builds a fresh device pair
-  per shard with its *own* scoped fault plane and telemetry handle
-  (:class:`~repro.android.runtime.RuntimeContext`), runs the shard's
-  ``(package, campaign)`` segments, and returns a picklable
+* :mod:`repro.farm.shard` -- :func:`run_shard`: runs the body its study kind
+  maps to (a fresh device pair's segments, a guided package's blocks, or a
+  fleet lane) with its *own* scoped fault plane and telemetry handle
+  (:class:`~repro.android.runtime.RuntimeContext`), and returns a picklable
   :class:`ShardResult`; also :func:`build_rig`, the one recipe for the
   paper's three test beds that builds every device the program fuzzes,
   and :func:`run_segment`, the fuzz / pull log / fold / clear step every
@@ -40,8 +40,8 @@ evidence.  This package is that farm for the simulator:
   :meth:`StudyCollector.merge`, metrics/span absorption), skipping the
   holes poisoned shards leave behind;
 * :mod:`repro.farm.journal` -- :class:`StudyManifest`: one manifest over
-  per-shard checkpoint journals, validating config / fault plan / worker
-  count on resume.
+  per-shard checkpoint journals that names its study, validating study
+  kind / config / fault plan / worker count on resume.
 
 **Determinism contract.**  Every shard starts its own virtual clock at
 zero and is seeded from its spec alone, so the merged study is bit-identical

@@ -3,13 +3,13 @@
 A sharded study cannot checkpoint into a single journal -- shards run
 concurrently and each records its own result.  Instead the manifest
 file (the path the operator passes to ``--journal``) records the study-wide
-facts once -- config, fault-plan fingerprint, package list, campaigns, and
-the worker count -- plus the shard table mapping each shard to its own
-``<manifest>.shard-NNN`` checkpoint journal.
+facts once -- the study kind, config, fault-plan fingerprint, package list,
+campaigns, and the worker count -- plus the shard table mapping each shard
+to its own ``<manifest>.shard-NNN`` checkpoint journal.
 
-Resume validation happens here, before any shard is spawned: a journal
-recorded under a different config, a different fault plan, or a different
-``--workers`` count is rejected with an error saying exactly what to change.
+Resume validation happens here, before any shard is spawned: a journal of
+another study kind, config, fault plan or ``--workers`` count is refused
+untouched, with an error saying exactly what to change.
 The worker count is part of the contract not for determinism (results are
 worker-count independent) but because silently resuming under different
 parallelism would make the wall-clock bookkeeping in the bench artifacts
@@ -48,9 +48,10 @@ class StudyManifest:
     ) -> None:
         """Write the manifest header (truncating any previous manifest).
 
-        *extra* carries study-kind specific facts (the fleet study records
-        its fleet size, cohort spec and lane count here) so a resume can
-        rebuild the exact plan without the operator repeating the flags.
+        The header names the study, the ``ShardSpec.study`` every shard
+        carries.  *extra* carries study-kind specific facts (the fleet study
+        records its fleet size, cohort spec and lane count here) so a resume
+        can rebuild the exact plan without the operator repeating the flags.
 
         A fresh study owns its shard files: whatever an earlier run left
         at a listed shard's path is removed before the header is written,
@@ -61,6 +62,7 @@ class StudyManifest:
         header = {
             "kind": "study-manifest",
             "manifest_version": MANIFEST_VERSION,
+            "study": shards[0].study,
             "config": config,
             "fault_fingerprint": fault_fingerprint,
             "packages": list(packages),
@@ -87,10 +89,19 @@ class StudyManifest:
         return list(self.header().get("shards", []))
 
     def validate_resume(
-        self, *, config: str, fault_fingerprint: str, workers: int
+        self, *, study: str, config: str, fault_fingerprint: str, workers: int
     ) -> Dict[str, Any]:
-        """Check the manifest matches the live run; return its header."""
+        """Check the manifest matches the live run, kind first; return its header.
+
+        A header without a study kind was written by a wear study.
+        """
         header = self.header()
+        recorded_study = header.get("study", "wear")
+        if recorded_study != study:
+            raise ValueError(
+                f"journal {self.path} was recorded by a {recorded_study!r} "
+                f"study, not a {study} study"
+            )
         if header.get("config") != config:
             raise ValueError(
                 f"journal {self.path} was recorded under config "

@@ -114,9 +114,11 @@ class ShardResult:
 
     index: int
     key: str
-    summary: FuzzSummary
-    collector: StudyCollector
     clock_ms: float
+    #: The blind body's summary and folded collector (``None`` for the
+    #: guided and fleet bodies, which ship their own outcomes below).
+    summary: Optional[FuzzSummary] = None
+    collector: Optional[StudyCollector] = None
     #: Telemetry captured by a worker-local handle; ``None``/empty when the
     #: shard ran in-process against the live handle (nothing to merge).
     metrics: Optional[MetricsRegistry] = None
@@ -212,6 +214,9 @@ def run_shard(
     boundary, and the attempt number drives the deterministic worker-crash
     injector (spec- or env-triggered; see :mod:`repro.farm.health`).
     """
+    body = _SHARD_BODIES.get(spec.study)
+    if body is None:
+        raise ValueError(f"unknown shard study kind: {spec.study!r}")
     owns_handle = telemetry_handle is None
     handle = _fresh_handle(spec) if owns_handle else telemetry_handle
     # Both paths reset the sampling phase here: every shard samples from a
@@ -228,14 +233,14 @@ def run_shard(
         else NOOP_PLANE
     )
     runtime = RuntimeContext(fault_plane=plane, telemetry_handle=handle)
-    if spec.study in ("wear", "phone"):
-        result = _run_blind_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attempt)
-    elif spec.study == "guided":
-        result = _run_guided_shard(spec, handle, runtime, kill_switch, heartbeat, attempt)
-    elif spec.study == "fleet":
-        result = _run_fleet_shard(spec, handle, kill_switch, heartbeat, attempt)
-    else:
-        raise ValueError(f"unknown shard study kind: {spec.study!r}")
+    policy = spec.crash if spec.crash is not None else crash_for(spec.key)
+
+    def crash(segment: int) -> None:
+        """Fire the shard's injected worker crash if it is due at *segment*."""
+        if policy is not None and policy.triggers(attempt, segment):
+            policy.fire(spec.key, attempt, segment)
+
+    result = body(spec, handle, plane, runtime, kill_switch, heartbeat, crash)
     if owns_handle and handle.enabled:
         handle.flush()  # drain batched handles before the registry pickles
         result.metrics = handle.metrics
@@ -245,13 +250,6 @@ def run_shard(
         if handle.profiler.enabled:
             result.profile = handle.profiler.snapshot()
     return result
-
-
-def _crash_policy(spec: ShardSpec) -> Optional[CrashPolicy]:
-    """The shard's crash injection, spec field first, then the env hook."""
-    if spec.crash is not None:
-        return spec.crash
-    return crash_for(spec.key)
 
 
 def _beat(heartbeat: Optional[WorkerHeartbeat]) -> None:
@@ -342,7 +340,7 @@ def _study_span(spec: ShardSpec, handle: Telemetry, clock, heartbeat):
         yield
 
 
-def _run_blind_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attempt) -> ShardResult:
+def _run_blind_shard(spec, handle, plane, runtime, kill_switch, heartbeat, crash) -> ShardResult:
     """A wear or phone shard: every ``(package, campaign)`` segment in order.
 
     With a journal, the shard writes its header when it starts and its
@@ -366,7 +364,6 @@ def _run_blind_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attem
         if record is not None:
             _check_record(journal, record, header)
             return record
-    crash = _crash_policy(spec)
     corpus, fuzzer = build_rig(spec.config, spec.study, runtime, kill_switch)
     device = fuzzer.device
     collector = StudyCollector(corpus.packages())
@@ -377,15 +374,14 @@ def _run_blind_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attem
     segments = [(p, c) for p in spec.packages for c in spec.campaigns]
     with _study_span(spec, handle, device.clock, heartbeat):
         for index, (package_name, campaign) in enumerate(segments):
-            if crash is not None and crash.triggers(attempt, index):
-                crash.fire(spec.key, attempt, index)
+            crash(index)
             summary.apps.append(
                 run_segment(
                     fuzzer, collector, package_name, campaign, config.fuzz, plane, handle, index
                 )
             )
             _beat(heartbeat)
-    result = ShardResult(spec.index, spec.key, summary, collector, device.clock.now_ms())
+    result = ShardResult(spec.index, spec.key, device.clock.now_ms(), summary, collector)
     if journal is not None:
         journal.save_state(result)
     return result
@@ -412,7 +408,7 @@ def _check_record(journal: CheckpointJournal, record, header) -> None:
             )
 
 
-def _run_guided_shard(spec, handle, runtime, kill_switch, heartbeat, attempt) -> ShardResult:
+def _run_guided_shard(spec, handle, plane, runtime, kill_switch, heartbeat, crash) -> ShardResult:
     """One guided shard: a fresh device pair running one package's blocks.
 
     Same device recipe as the wear shard, so a behaviour the blind study
@@ -427,25 +423,16 @@ def _run_guided_shard(spec, handle, runtime, kill_switch, heartbeat, attempt) ->
         raise ValueError("guided shard needs a GuidedTask on spec.guided")
     if spec.journal_path is not None:
         raise ValueError("the guided study does not support checkpoint journals")
-    crash = _crash_policy(spec)
-    corpus, fuzzer = build_rig(spec.config, "wear", runtime, kill_switch)
+    _, fuzzer = build_rig(spec.config, "wear", runtime, kill_switch)
     watch = fuzzer.device
-    if crash is not None and crash.triggers(attempt, 0):
-        crash.fire(spec.key, attempt, 0)
+    crash(0)
     with _study_span(spec, handle, watch.clock, heartbeat):
         outcomes = run_guided_blocks(fuzzer, spec.guided, spec.config.fuzz)
     _beat(heartbeat)
-    return ShardResult(
-        spec.index,
-        spec.key,
-        FuzzSummary(device=watch.name),
-        StudyCollector(corpus.packages()),
-        watch.clock.now_ms(),
-        guided=outcomes,
-    )
+    return ShardResult(spec.index, spec.key, watch.clock.now_ms(), guided=outcomes)
 
 
-def _run_fleet_shard(spec, handle, kill_switch, heartbeat, attempt) -> ShardResult:
+def _run_fleet_shard(spec, handle, plane, runtime, kill_switch, heartbeat, crash) -> ShardResult:
     """One fleet lane: a cooperative scheduler multiplexing many pairs.
 
     The lane -- not the pair -- is the farm's unit of distribution, so
@@ -458,9 +445,7 @@ def _run_fleet_shard(spec, handle, kill_switch, heartbeat, attempt) -> ShardResu
 
     if spec.fleet is None:
         raise ValueError("fleet shard needs a pair slice on spec.fleet")
-    crash = _crash_policy(spec)
-    if crash is not None and crash.triggers(attempt, 0):
-        crash.fire(spec.key, attempt, 0)
+    crash(0)
     summaries = run_lane(
         spec.fleet,
         lane_index=spec.index,
@@ -471,10 +456,16 @@ def _run_fleet_shard(spec, handle, kill_switch, heartbeat, attempt) -> ShardResu
         heartbeat=heartbeat,
     )
     return ShardResult(
-        index=spec.index,
-        key=spec.key,
-        summary=FuzzSummary(device=spec.key),
-        collector=StudyCollector([]),
-        clock_ms=sum(s.clock_ms for s in summaries),
-        fleet=summaries,
+        spec.index, spec.key, sum(s.clock_ms for s in summaries), fleet=summaries
     )
+
+
+#: The body each ``ShardSpec.study`` runs.  All take ``(spec, handle, plane,
+#: runtime, kill_switch, heartbeat, crash)``; ``crash(segment)`` fires the
+#: shard's injected worker crash when it is due there.
+_SHARD_BODIES = {
+    "wear": _run_blind_shard,
+    "phone": _run_blind_shard,
+    "guided": _run_guided_shard,
+    "fleet": _run_fleet_shard,
+}

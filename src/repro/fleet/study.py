@@ -88,6 +88,14 @@ class FleetStudyResult:
     def render_report(self) -> str:
         return render_population(self.report)
 
+    def render(self) -> str:
+        """The population report and its intents / pairs / lanes line."""
+        return (
+            f"{self.render_report()}\n"
+            f"{self.intents_sent} intents across {self.fleet_size} pairs in "
+            f"{self.lanes} lane(s), {self.virtual_hours():.1f} virtual pair-hours"
+        )
+
 
 def _fleet_shards(
     pairs: Sequence[PairSpec],
@@ -179,15 +187,11 @@ def run_fleet_study(
         if manifest is None:
             raise ValueError("resume=True requires journal_path")
         header = manifest.validate_resume(
+            study="fleet",
             config=config.name,
             fault_fingerprint=faults.fingerprint(),
             workers=workers,
         )
-        if header.get("study") != "fleet":
-            raise ValueError(
-                f"journal {manifest.path} was recorded by a "
-                f"{header.get('study', 'wear')!r} study, not a fleet study"
-            )
         fleet_size = int(header["fleet_size"])
         cohorts = str(header["cohorts"])
         lanes = int(header["lanes"])
@@ -224,7 +228,6 @@ def run_fleet_study(
             workers=workers,
             shards=specs,
             extra={
-                "study": "fleet",
                 "fleet_size": fleet_size,
                 "cohorts": cohorts,
                 "lanes": lanes,

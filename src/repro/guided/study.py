@@ -73,19 +73,23 @@ class GuidedConfig:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
 
 
-def blind_equivalent_budget(config, packages: Optional[Sequence[str]] = None) -> int:
+def blind_equivalent_budget(
+    config,
+    packages: Optional[Sequence[str]] = None,
+    campaigns: Sequence[Campaign] = tuple(Campaign),
+) -> int:
     """The intent volume the blind study would nominally spend.
 
-    Per component, each campaign sends ``campaign_size(campaign, stride)``
-    intents; summed over the fuzzable components of *packages* (default:
-    the whole wear catalog).  This is the equal-budget baseline the
-    guided-vs-blind ablation holds fixed.
+    Per component, each of *campaigns* sends ``campaign_size(campaign,
+    stride)`` intents; summed over the fuzzable components of *packages*
+    (default: the whole wear catalog).  This is the equal-budget baseline
+    the guided-vs-blind ablation holds fixed.
     """
     corpus = build_wear_corpus(seed=config.corpus_seed)
     wanted = set(packages) if packages is not None else None
     per_component = sum(
         campaign_size(campaign, config.fuzz.stride_for(campaign))
-        for campaign in Campaign
+        for campaign in campaigns
     )
     total = 0
     for package in corpus.packages():
@@ -238,12 +242,14 @@ def run_guided_study(
     workers: int = 1,
     shard_timeout: Optional[float] = None,
     max_shard_attempts: Optional[int] = None,
+    campaigns: Sequence[Campaign] = tuple(Campaign),
 ) -> GuidedStudyResult:
     """Run one feedback-guided study over the wear catalog.
 
     *config* is an :class:`~repro.experiments.config.ExperimentConfig`
-    (its fuzz pacing, corpus seed, and strides all apply); *packages*
-    restricts the arm universe (default: every catalog app).  *workers*
+    (its fuzz pacing, corpus seed, and strides all apply); *packages* and
+    *campaigns* restrict the arm universe and the default budget (default:
+    every catalog app, all four campaigns).  *workers*
     fans each round's package shards out exactly like the blind farm --
     and, per the determinism contract, never changes the result.
     *shard_timeout* and *max_shard_attempts* tune the supervisor as in
@@ -277,12 +283,12 @@ def run_guided_study(
             if package not in known_packages:
                 raise ValueError(f"package not in the wear catalog: {package}")
     arms: List[ArmKey] = [
-        (package, campaign.value) for package in packages for campaign in Campaign
+        (package, campaign.value) for package in packages for campaign in campaigns
     ]
     budget = (
         guided.budget
         if guided.budget is not None
-        else blind_equivalent_budget(config, packages)
+        else blind_equivalent_budget(config, packages, campaigns)
     )
     scheduler = make_scheduler(
         guided.scheduler, arms, seed=guided.seed, exploration=guided.exploration

@@ -383,12 +383,7 @@ class ServiceDaemon:
             resume=resume,
             workers=spec.workers,
         )
-        report = (
-            result.summary.render()
-            + "\n"
-            + f"{result.intents_sent} intents, {result.reboot_count} reboots, "
-            f"{result.virtual_hours():.1f} virtual hours\n"
-        )
+        report = result.render() + "\n"
         seed = by_name(spec.config).corpus_seed
         segments = [
             SegmentRecord(
@@ -421,6 +416,7 @@ class ServiceDaemon:
             GuidedConfig(scheduler=spec.scheduler, budget=spec.guided_budget),
             packages=list(spec.packages) if spec.packages is not None else None,
             workers=spec.workers,
+            campaigns=spec.campaign_values(),
         )
         self.store.merge_corpus(result.corpus)
         self.crash.tick("store:corpus")

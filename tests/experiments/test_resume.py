@@ -7,7 +7,9 @@ scope that still exercises the full reboot/recovery path.
 
 import dataclasses
 import glob
+import json
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from repro.farm import shard as shard_module
 from repro.faults.errors import CampaignKilled
 from repro.faults.journal import CheckpointJournal
 from repro.faults.plan import CHAOS_INTERVALS_MS, CompatMatrix, FaultKind, FaultPlan
+from repro.fleet import run_fleet_study
 from repro.qgj.campaigns import Campaign
 
 PKG = "com.pulsetrack.wear"
@@ -205,7 +208,7 @@ class TestShardGranularResume:
             built.append(current[0])
             return build_rig(*args, **kwargs)
 
-        monkeypatch.setattr(shard_module, "_run_blind_shard", tracking)
+        monkeypatch.setitem(shard_module._SHARD_BODIES, "wear", tracking)
         monkeypatch.setattr(shard_module, "build_rig", counting)
         return built
 
@@ -308,6 +311,54 @@ class TestShardGranularResume:
             shutil.copyfile(foreign + suffix, journal + suffix)
         with pytest.raises(ValueError, match="fault_fingerprint"):
             self._run(journal_path=journal, resume=True)
+
+
+class TestStudyKind:
+    """The manifest names its study, and a resume under another kind is
+    refused before any shard runs."""
+
+    def _wear_journal(self, tmp_path):
+        journal = str(tmp_path / "wear.jsonl")
+        base = run_wear_study(
+            QUICK, packages=["com.runmate.wear"], campaigns=(Campaign.B,), journal_path=journal
+        )
+        return journal, base
+
+    def test_a_phone_resume_of_a_wear_journal_is_refused(self, tmp_path):
+        journal, _ = self._wear_journal(tmp_path)
+        with pytest.raises(ValueError, match="'wear' study, not a phone study"):
+            run_wear_study(QUICK, journal_path=journal, resume=True, kind="phone")
+
+    def test_a_wear_resume_of_a_fleet_journal_leaves_every_journal_untouched(self, tmp_path):
+        journal = str(tmp_path / "fleet.jsonl")
+        run_fleet_study(
+            2,
+            config=QUICK,
+            lanes=2,
+            packages=["com.runmate.wear"],
+            campaigns=(Campaign.B,),
+            journal_path=journal,
+        )
+
+        def files():
+            return {path: Path(path).read_bytes() for path in glob.glob(journal + "*")}
+
+        before = files()
+        assert journal + ".shard-001" in before
+        with pytest.raises(ValueError, match="'fleet' study, not a wear study"):
+            run_wear_study(QUICK, journal_path=journal, resume=True)
+        assert files() == before
+
+    def test_a_manifest_without_a_study_resumes_as_wear(self, tmp_path):
+        journal, base = self._wear_journal(tmp_path)
+        # Manifests written before they named their study lack the key.
+        with open(journal, encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+        del header["study"]
+        with open(journal, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+        resumed = run_wear_study(QUICK, journal_path=journal, resume=True)
+        assert _wire(resumed) == _wire(base)
 
 
 class TestRebootInvariant:

@@ -1,5 +1,7 @@
 """Tests for the cached study runners and the report entry point."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import runner
@@ -296,3 +298,99 @@ class TestTelemetryCli:
             == 0
         )
         assert seen["sample_every"] == 25
+
+
+class TestResumeCli:
+    """A bare --resume runs the study its manifest names; a journal the run
+    cannot resume is refused with the usage exit code, before anything is
+    armed."""
+
+    PKG = "com.runmate.wear"
+
+    @pytest.fixture(autouse=True)
+    def _no_leaked_state(self):
+        from repro import faults, telemetry
+
+        yield
+        faults.uninstall()
+        telemetry.disable()
+
+    @pytest.fixture(scope="class")
+    def wear_journal(self, tmp_path_factory):
+        from repro.experiments.wear_experiment import run_wear_study
+        from repro.qgj.campaigns import Campaign
+
+        journal = str(tmp_path_factory.mktemp("wear") / "wear.jsonl")
+        run_wear_study(
+            QUICK, packages=[self.PKG], campaigns=(Campaign.B,), journal_path=journal
+        )
+        return journal
+
+    def test_a_bare_resume_runs_the_fleet_its_manifest_names(self, tmp_path, capsys):
+        import glob
+
+        from repro.faults.errors import CampaignKilled
+        from repro.fleet import run_fleet_study
+        from repro.qgj.campaigns import Campaign
+
+        fleet = dict(config=QUICK, lanes=2, packages=[self.PKG], campaigns=(Campaign.B,))
+        clean = run_fleet_study(4, **fleet)
+        journal = str(tmp_path / "fleet.jsonl")
+        with pytest.raises(CampaignKilled):
+            run_fleet_study(
+                4, journal_path=journal, kill_after_injections=clean.intents_sent * 3 // 4,
+                **fleet,
+            )
+        lanes = glob.glob(journal + ".shard-*")
+        assert any('"type": "pair"' in Path(path).read_text() for path in lanes)
+        capsys.readouterr()
+        assert runner.main(["quick", "--resume", journal]) == 0
+        assert capsys.readouterr().out == clean.render() + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["quick", "--fault-seed", "3"], "resume under the original plan"),
+            (["paper"], "recorded under config 'quick', not 'paper'"),
+            (["quick", "--fleet", "4"], "recorded by a 'wear' study, not a fleet study"),
+        ],
+    )
+    def test_a_refused_resume_exits_2(self, wear_journal, argv, message, capsys):
+        from repro import faults
+
+        recorded = Path(wear_journal).read_bytes()
+        assert runner.main(argv + ["--resume", wear_journal]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "usage: python -m repro" in err
+        assert not faults.get().armed
+        assert Path(wear_journal).read_bytes() == recorded
+
+    def test_a_phone_journal_is_refused(self, tmp_path, capsys):
+        from repro.experiments.wear_experiment import run_wear_study
+        from repro.qgj.campaigns import Campaign
+
+        journal = str(tmp_path / "phone.jsonl")
+        run_wear_study(
+            QUICK,
+            packages=["com.android.settings"],
+            campaigns=(Campaign.B,),
+            journal_path=journal,
+            kind="phone",
+        )
+        assert runner.main(["quick", "--resume", journal]) == 2
+        assert "recorded by a 'phone' study, not a wear study" in capsys.readouterr().err
+
+    def test_a_resume_of_a_missing_journal_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        assert runner.main(["quick", "--resume", missing]) == 2
+        err = capsys.readouterr().err
+        assert "No such file" in err and missing in err
+
+    def test_a_refused_call_arms_nothing(self, capsys):
+        from repro import faults, telemetry
+
+        assert runner.main(["quick", "--fault-seed", "7", "--profile"]) == 2
+        assert "--profile requires --telemetry" in capsys.readouterr().err
+        assert not faults.get().armed
+        assert not telemetry.get().enabled

@@ -206,6 +206,34 @@ class TestServiceSemantics:
         report = daemon.store.get(spec.fingerprint()).report_text()
         assert report.startswith("Guided fuzzing study")
 
+    def test_a_guided_study_fuzzes_only_its_campaigns(self, tmp_path):
+        default = StudySpec(
+            kind="guided", config="quick", packages=(PKG,), guided_budget=300
+        )
+        only_a = StudySpec(
+            kind="guided",
+            config="quick",
+            packages=(PKG,),
+            campaigns=("A",),
+            guided_budget=300,
+        )
+        daemon = _daemon(tmp_path / "svc")
+        daemon.start()
+        daemon.submit(default)
+        daemon.submit(only_a)
+        assert daemon.serve_forever(until_idle=True) == EXIT_IDLE
+
+        def arm_campaigns(spec):
+            report = daemon.store.get(spec.fingerprint()).report_text()
+            arms = report.split("arms (plays / intents / novel):\n")[1]
+            return report, [line.split()[1] for line in arms.split("\n\n")[0].splitlines()]
+
+        default_report, default_arms = arm_campaigns(default)
+        only_a_report, only_a_arms = arm_campaigns(only_a)
+        assert sorted(default_arms) == ["A", "B", "C", "D"]
+        assert only_a_arms == ["A"]
+        assert only_a_report != default_report
+
     def test_request_drain_exits_130_with_the_queue_released(self, tmp_path):
         daemon = _daemon(tmp_path / "svc")
         daemon.start()
