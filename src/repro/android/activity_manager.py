@@ -25,7 +25,7 @@ same checks the real service performs:
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Protocol, Tuple
 
 from repro.android.component import (
     Activity,
@@ -147,6 +147,10 @@ class ActivityManager:
     def register_factory(self, behavior_key: str, factory: ComponentFactory) -> None:
         """Map a manifest ``behavior_key`` to a component factory."""
         self._factories[behavior_key] = factory
+
+    def register_factories(self, factories: Mapping[str, ComponentFactory]) -> None:
+        """:meth:`register_factory` for every entry of *factories*."""
+        self._factories.update(factories)
 
     def add_health_hooks(self, hooks: SystemHealthHooks) -> None:
         self._health_hooks.append(hooks)

@@ -310,11 +310,15 @@ class BehaviorRegistry:
 
     def __init__(self) -> None:
         self._specs: dict[str, BehaviorSpec] = {}
+        #: One factory per key, built on the first install and shared by
+        #: every device this registry is installed on.
+        self._factories: Optional[dict[str, "SpecFactory"]] = None
 
     def register(self, key: str, spec: BehaviorSpec) -> str:
         if key in self._specs:
             raise ValueError(f"behavior key already registered: {key}")
         self._specs[key] = spec
+        self._factories = None
         return key
 
     def get(self, key: str) -> BehaviorSpec:
@@ -325,8 +329,9 @@ class BehaviorRegistry:
 
     def install(self, activity_manager) -> None:
         """Register component factories for every known key."""
-        for key, spec in self._specs.items():
-            activity_manager.register_factory(key, SpecFactory(spec))
+        if self._factories is None:
+            self._factories = {key: SpecFactory(spec) for key, spec in self._specs.items()}
+        activity_manager.register_factories(self._factories)
 
     def __len__(self) -> int:
         return len(self._specs)

@@ -41,7 +41,7 @@ from repro.farm.health import CrashPolicy, WorkerHeartbeat, crash_for
 from repro.faults.journal import CheckpointJournal, KillSwitch
 from repro.faults.plan import FaultPlan
 from repro.faults.plane import NOOP_PLANE, FaultPlane
-from repro.faults.retry import RetryPolicy
+from repro.faults.retry import MAX_ATTEMPTS_CAP, RetryPolicy
 from repro.guided.engine import BlockOutcome, GuidedTask, run_guided_blocks
 from repro.qgj.campaigns import Campaign
 from repro.qgj.fuzzer import QGJ_MOBILE_PACKAGE, QGJ_WEAR_PACKAGE, FuzzConfig, FuzzerLibrary
@@ -70,8 +70,15 @@ if TYPE_CHECKING:  # pragma: no cover - avoids the experiments<->farm cycle
     from repro.fleet.pairs import PairSpec, PairSummary
 
 #: Backoff for the operator-side adb calls (log pull / clear between
-#: segments); injection-side retries are the fuzzer's own policy.
-LOG_PULL_RETRY = RetryPolicy(max_attempts=6, base_delay_ms=200.0, max_delay_ms=5_000.0)
+#: segments); injection-side retries are the fuzzer's own policy.  Adb drops
+#: that fall due during a long segment pile up and each attempt consumes
+#: one, so the budget is the cap: a paper-scale chaos segment can meet a
+#: streak of 11 drops at one pull.  The schedule draws its delays in order,
+#: so a longer budget leaves the first delays, and every run that never
+#: exhausted the old one, unchanged.
+LOG_PULL_RETRY = RetryPolicy(
+    max_attempts=MAX_ATTEMPTS_CAP, base_delay_ms=200.0, max_delay_ms=5_000.0
+)
 
 @dataclasses.dataclass(frozen=True)
 class ShardSpec:

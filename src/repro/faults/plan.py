@@ -10,7 +10,9 @@ Execution state lives in :class:`PlanExecution`, one per device clock: the
 per-kind RNG streams and "next fire time" cursors.  Everything is scheduled
 on the *virtual* clock, so a faulty run is exactly replayable -- same seed,
 same clock trajectory, same faults -- and execution state is plain picklable
-data.
+data.  An execution builds streams only for the kinds its plan arms and
+keeps the earliest pending event over them, so until a fault falls due a
+hook's query costs one comparison.
 
 The fault taxonomy follows Cotroneo et al.'s OS/IPC fault dimensions mapped
 onto this simulator:
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -157,6 +160,19 @@ class CompatMatrix:
         return CompatMatrix(phone_api=BASE_WEAR_API - skew, wear_api=BASE_WEAR_API)
 
 
+#: The :class:`FaultPlan` field holding each kind's mean interval.
+INTERVAL_FIELDS: Dict[FaultKind, str] = {
+    FaultKind.ADB_DROP: "adb_drop_every_ms",
+    FaultKind.BINDER: "binder_every_ms",
+    FaultKind.LMKD_KILL: "lmkd_every_ms",
+    FaultKind.LOGCAT_TRUNCATE: "logcat_truncate_every_ms",
+    FaultKind.SERVICE_OUTAGE: "service_outage_every_ms",
+    FaultKind.SERVICE_CORRUPT: "service_corrupt_every_ms",
+    FaultKind.SYSTEM_RESTART: "system_restart_every_ms",
+    FaultKind.COMPAT_MISMATCH: "compat_mismatch_every_ms",
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class FaultPlan:
     """A deterministic, seeded schedule of environment faults.
@@ -183,31 +199,13 @@ class FaultPlan:
     oneshots: Tuple[FaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in (
-            "adb_drop_every_ms",
-            "binder_every_ms",
-            "lmkd_every_ms",
-            "logcat_truncate_every_ms",
-            "service_outage_every_ms",
-            "service_corrupt_every_ms",
-            "system_restart_every_ms",
-            "compat_mismatch_every_ms",
-        ):
+        for name in INTERVAL_FIELDS.values():
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
 
     def interval_for(self, kind: FaultKind) -> Optional[float]:
-        return {
-            FaultKind.ADB_DROP: self.adb_drop_every_ms,
-            FaultKind.BINDER: self.binder_every_ms,
-            FaultKind.LMKD_KILL: self.lmkd_every_ms,
-            FaultKind.LOGCAT_TRUNCATE: self.logcat_truncate_every_ms,
-            FaultKind.SERVICE_OUTAGE: self.service_outage_every_ms,
-            FaultKind.SERVICE_CORRUPT: self.service_corrupt_every_ms,
-            FaultKind.SYSTEM_RESTART: self.system_restart_every_ms,
-            FaultKind.COMPAT_MISMATCH: self.compat_mismatch_every_ms,
-        }[kind]
+        return getattr(self, INTERVAL_FIELDS[kind])
 
     def is_empty(self) -> bool:
         return not self.oneshots and all(
@@ -244,20 +242,32 @@ class FaultPlan:
 
 
 class _KindStream:
-    """One fault kind's deterministic event stream (picklable)."""
+    """One armed fault kind's deterministic event stream (picklable)."""
 
-    def __init__(self, plan: FaultPlan, kind: FaultKind) -> None:
+    def __init__(
+        self,
+        plan: FaultPlan,
+        kind: FaultKind,
+        interval: Optional[float],
+        oneshots: List[FaultEvent],
+    ) -> None:
         self.kind = kind
-        self._rng = random.Random(f"{plan.seed}:{kind.value}")
-        self._interval = plan.interval_for(kind)
-        self._next: Optional[float] = self._draw_gap() if self._interval else None
-        self._oneshots: List[FaultEvent] = sorted(
-            (e for e in plan.oneshots if e.kind == kind), key=lambda e: e.at_ms
-        )
+        self._interval = interval
+        self._rng = random.Random(f"{plan.seed}:{kind.value}") if interval else None
+        self._next: Optional[float] = self._draw_gap() if interval else None
+        self._oneshots = oneshots
+        #: When the earliest pending event falls due (``inf`` once none is).
+        self.due_ms = self._earliest()
 
     def _draw_gap(self) -> float:
         assert self._interval is not None
         return self._rng.expovariate(1.0 / self._interval)
+
+    def _earliest(self) -> float:
+        due = math.inf if self._next is None else self._next
+        if self._oneshots and self._oneshots[0].at_ms < due:
+            due = self._oneshots[0].at_ms
+        return due
 
     def _param(self) -> str:
         if self.kind is FaultKind.BINDER:
@@ -286,19 +296,34 @@ class _KindStream:
         while self._next is not None and self._next <= now_ms and not full():
             due.append(FaultEvent(at_ms=self._next, kind=self.kind, param=self._param()))
             self._next += self._draw_gap()
+        self.due_ms = self._earliest()
         return due
 
 
 class PlanExecution:
-    """All mutable schedule state for one device clock (picklable)."""
+    """All mutable schedule state for one device clock (picklable).
+
+    Only the kinds the plan arms (an interval or a one-shot) get a stream
+    and an RNG, and ``next_due_ms`` holds the earliest pending event over
+    them: while the clock is before it, :meth:`take_due` answers ``[]``
+    without touching a stream.  Each stream draws from its own seeded RNG,
+    so building fewer of them, or walking them less often, moves no event.
+    """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.streams: Dict[FaultKind, _KindStream] = {
-            kind: _KindStream(plan, kind) for kind in FaultKind
-        }
-        #: Deterministic victim selection for lmkd kills.
-        self.victim_rng = random.Random(f"{plan.seed}:lmkd-victim")
+        self.streams: Dict[FaultKind, _KindStream] = {}
+        for kind, field in INTERVAL_FIELDS.items():
+            interval = getattr(plan, field)
+            oneshots = sorted(
+                (e for e in plan.oneshots if e.kind == kind), key=lambda e: e.at_ms
+            )
+            if interval is not None or oneshots:
+                self.streams[kind] = _KindStream(plan, kind, interval, oneshots)
+        self.next_due_ms = min(
+            (stream.due_ms for stream in self.streams.values()), default=math.inf
+        )
+        self._victim_rng: Optional[random.Random] = None
         self.fired: int = 0
         #: Open service-unavailability windows: service name -> window-end
         #: (virtual ms).  Calls into a listed service raise until the clock
@@ -311,9 +336,22 @@ class PlanExecution:
         self.pending_deltas: int = 0
         self.pending_missing_method: int = 0
 
+    @property
+    def victim_rng(self) -> random.Random:
+        """Deterministic victim selection for lmkd kills, seeded on first use."""
+        if self._victim_rng is None:
+            self._victim_rng = random.Random(f"{self.plan.seed}:lmkd-victim")
+        return self._victim_rng
+
     def take_due(
         self, kind: FaultKind, now_ms: float, limit: Optional[int] = None
     ) -> List[FaultEvent]:
-        due = self.streams[kind].take_due(now_ms, limit=limit)
+        if now_ms < self.next_due_ms:
+            return []
+        stream = self.streams.get(kind)
+        if stream is None or now_ms < stream.due_ms:
+            return []
+        due = stream.take_due(now_ms, limit=limit)
         self.fired += len(due)
+        self.next_due_ms = min(s.due_ms for s in self.streams.values())
         return due

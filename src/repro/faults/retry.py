@@ -90,15 +90,18 @@ class RetryPolicy:
         Raises the last transient error once attempts are exhausted; any
         non-transient exception propagates immediately.  *telemetry_handle*
         scopes the retry counters (a farm shard's handle); by default the
-        process-wide handle is used.
+        process-wide handle is used.  The schedule is built on the first
+        transient error, so a call that succeeds at once never pays for it.
         """
-        delays = self.schedule(key)
+        delays: Tuple[float, ...] = ()
         for attempt in range(self.max_attempts):
             try:
                 return fn()
             except TRANSIENT_ERRORS as exc:
-                if attempt >= len(delays):
+                if attempt + 1 >= self.max_attempts:
                     raise
+                if not delays:
+                    delays = self.schedule(key)
                 delay = delays[attempt]
                 self._count_retry(exc, delay, telemetry_handle)
                 if on_retry is not None:

@@ -326,6 +326,18 @@ class TestBehaviorRegistry:
         component = factory(info(), Context("com.a", device))
         assert isinstance(component, ModeledActivity)
 
+    def test_factories_are_built_once_and_rebuilt_after_register(self, device):
+        registry = BehaviorRegistry()
+        registry.register("k", BehaviorSpec())
+        other = Device("other")
+        registry.install(device.activity_manager)
+        registry.install(other.activity_manager)
+        shared = device.activity_manager._factories["k"]
+        assert other.activity_manager._factories["k"] is shared
+        registry.register("j", BehaviorSpec())
+        registry.install(other.activity_manager)
+        assert set(other.activity_manager._factories) >= {"k", "j"}
+
     def test_duplicate_key_rejected(self):
         registry = BehaviorRegistry()
         registry.register("k", BehaviorSpec())

@@ -1,0 +1,92 @@
+"""Faulted study outputs pinned to recorded digests.
+
+The chaos smokes compare two runs of the same code, so a plane change that
+moves one fault passes them.  These digests of ``StudyResult.render()`` were
+recorded on the eager plane (every stream built and walked on every query,
+the backoff schedule built before every call) and are the same on Python
+3.10, 3.11 and 3.12.  The slice is small: two quick-scale packages, one of
+them the hang app whose ANR windows stretch its segments.
+"""
+
+import hashlib
+
+import pytest
+
+from repro import faults, telemetry
+from repro.experiments.config import QUICK
+from repro.experiments.wear_experiment import run_wear_study
+from repro.faults import CompatMatrix, FaultKind, FaultPlan, compose_plan
+from repro.telemetry.metrics import (
+    COMPAT_MISMATCHES,
+    FAULTS_INJECTED,
+    SERVICE_FAULTS_INJECTED,
+)
+
+SLICE = ("com.cardiowatch.wear", "com.chatterbox.wear")
+
+#: Every kind at one event per virtual minute (restarts every two), under a
+#: skewed pair so compat events manifest.  Adb drops stay at one per quarter
+#: hour: any denser and they pile up past the log pull's retry budget.
+DENSE = FaultPlan(
+    seed=3,
+    adb_drop_every_ms=900_000.0,
+    binder_every_ms=60_000.0,
+    lmkd_every_ms=60_000.0,
+    logcat_truncate_every_ms=60_000.0,
+    service_outage_every_ms=60_000.0,
+    service_corrupt_every_ms=60_000.0,
+    system_restart_every_ms=120_000.0,
+    compat_mismatch_every_ms=60_000.0,
+    compat=CompatMatrix.from_skew(3),
+)
+
+RECORDED = {
+    "chaos7": (
+        FaultPlan.chaos(seed=7),
+        "266e7e2dcbf3171defc22283f9ea2b1856782cfe6a97d454c0ee1be9c2891b8e",
+    ),
+    "service5-skew3": (
+        compose_plan(service_fault_seed=5, compat_skew=3),
+        "8d5e4b70ef3219cf1143150520bf6b54f9663c6bbabd4490f47ad018d9450717",
+    ),
+    "dense": (
+        DENSE,
+        "8c0d4b5ec631eab60d201fcae7e3eea6b808088240f187afa3d3d7568a499cbe",
+    ),
+}
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_plane():
+    yield
+    faults.uninstall()
+
+
+def _digest(plan: FaultPlan) -> str:
+    with faults.session(plan):
+        result = run_wear_study(QUICK, packages=list(SLICE))
+    return hashlib.sha256(result.render().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["chaos7", "service5-skew3"])
+def test_render_matches_recorded_digest(name):
+    plan, recorded = RECORDED[name]
+    assert _digest(plan) == recorded
+
+
+def test_dense_plan_fires_every_kind_and_matches_recorded_digest():
+    plan, recorded = RECORDED["dense"]
+    with telemetry.session() as t:
+        assert _digest(plan) == recorded
+        transport = t.metrics.get(FAULTS_INJECTED)
+        service = t.metrics.get(SERVICE_FAULTS_INJECTED)
+        fired = {
+            kind: (
+                t.metrics.get(COMPAT_MISMATCHES).total()
+                if kind is FaultKind.COMPAT_MISMATCH
+                else (transport.total_where(kind=kind.value) if transport else 0)
+                + (service.total_where(kind=kind.value) if service else 0)
+            )
+            for kind in FaultKind
+        }
+    assert all(count > 0 for count in fired.values()), fired
