@@ -206,6 +206,9 @@ class StudyCollector:
         events = parse_events(records)
         self.segments_folded += 1
         severity = self.app_campaign.get((package, campaign), Manifestation.NO_EFFECT)
+        # attribute_anr reads only handled exceptions: collect them once,
+        # not once per ANR.
+        handled = [event for event in events if isinstance(event, HandledExceptionEvent)]
 
         for event in events:
             if isinstance(event, FatalExceptionEvent):
@@ -218,7 +221,7 @@ class StudyCollector:
                 record = self._components.get(expand_component(event.component))
                 if record is not None:
                     record.anr_count += 1
-                    cause = attribute_anr(event, events)
+                    cause = attribute_anr(event, handled)
                     if cause is not None:
                         record.anr_cause_classes[cause] += 1
                 severity = max(severity, Manifestation.HANG)

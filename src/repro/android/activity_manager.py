@@ -47,7 +47,11 @@ from repro.android.jtypes import (
 )
 from repro.android.log import TAG_ACTIVITY_MANAGER, Logcat
 from repro.android.package_manager import PackageManager
-from repro.android.permissions import PERMISSION_GRANTED, PermissionManager
+from repro.android.permissions import (
+    PERMISSION_GRANTED,
+    PROTECTED_ACTIONS,
+    PermissionManager,
+)
 from repro.android.process import (
     DEFAULT_ANR_TIMEOUT_MS,
     MainThreadTask,
@@ -398,16 +402,22 @@ class ActivityManager:
     def _enforce_permissions(
         self, caller_package: str, intent: Intent, info: ComponentInfo
     ) -> None:
-        if not self._permissions.may_send_action(caller_package, intent.action):
+        # PermissionManager.may_send_action, inlined: this runs once per
+        # injected intent, and most actions are not protected.
+        action = intent.action
+        if action in PROTECTED_ACTIONS and not self._permissions.is_privileged(caller_package):
             detail = (
-                f"broadcasting protected action {intent.action} from {caller_package}"
+                f"broadcasting protected action {action} from {caller_package}"
                 f" to {info.name.flatten_to_short_string()}"
             )
             self._logcat.security_denial(pid=0, detail=detail)
             raise SecurityException(f"Permission Denial: {detail}")
         same_package = caller_package == info.package
-        privileged_caller = self._permissions.is_privileged(caller_package)
-        if not info.exported and not same_package and not privileged_caller:
+        if (
+            not info.exported
+            and not same_package
+            and not self._permissions.is_privileged(caller_package)
+        ):
             detail = (
                 f"starting {intent.to_log_string()} from {caller_package}"
                 f" not exported from uid of {info.package}"

@@ -19,7 +19,7 @@ of ``android.content.Intent`` the study exercises:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.android.uri import Uri
 
@@ -80,16 +80,24 @@ class Intent:
     """A mutable intent, built fluently like on Android.
 
     ``Intent("android.intent.action.VIEW").set_data_string("tel:123")``
+
+    Data set as text stays text until :attr:`data` or :attr:`scheme` first
+    reads it; :attr:`data_string`, :meth:`to_log_string` and
+    :meth:`signature` use the text, so an intent the system rejects before
+    any app reads it never parses its URI.
     """
 
     def __init__(
         self,
         action: Optional[str] = None,
-        data: Optional[str] = None,
+        data: Union[str, Uri, None] = None,
         component: Optional[ComponentName] = None,
     ) -> None:
+        if data is not None and not isinstance(data, (str, Uri)):
+            raise TypeError(f"Intent data must be str or Uri, got {type(data).__name__}")
         self.action = action
-        self._data: Optional[Uri] = Uri.parse(data) if data is not None else None
+        #: The data URI, or its text until first read; ``None`` when absent.
+        self._data: Union[str, Uri, None] = data
         self.component = component
         self.categories: List[str] = []
         self.mime_type: Optional[str] = None
@@ -106,7 +114,9 @@ class Intent:
         return self
 
     def set_data_string(self, text: Optional[str]) -> "Intent":
-        self._data = Uri.parse(text) if text is not None else None
+        if text is not None and not isinstance(text, str):
+            raise TypeError(f"Intent data must be str, got {type(text).__name__}")
+        self._data = text
         return self
 
     def set_component(self, component: Optional[ComponentName]) -> "Intent":
@@ -140,7 +150,10 @@ class Intent:
     # -- accessors -------------------------------------------------------------
     @property
     def data(self) -> Optional[Uri]:
-        return self._data
+        data = self._data
+        if isinstance(data, str):
+            data = self._data = Uri.parse(data)
+        return data
 
     @property
     def data_string(self) -> Optional[str]:
@@ -148,7 +161,8 @@ class Intent:
 
     @property
     def scheme(self) -> Optional[str]:
-        return None if self._data is None else self._data.scheme
+        data = self.data
+        return None if data is None else data.scheme
 
     def get_extra(self, key: str, default: ExtraValue = None) -> ExtraValue:
         return self.extras.get(key, default)

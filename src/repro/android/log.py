@@ -18,10 +18,9 @@ property test pins -- never simulator state.  The text grammar
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from collections import deque
-from typing import Deque, Iterable, Iterator, List, Optional
+from typing import Deque, Iterable, Iterator, List, NamedTuple, Optional
 
 from repro.android.clock import Clock
 from repro.android.jtypes import NativeSignal, Throwable
@@ -55,9 +54,13 @@ class Level(enum.Enum):
         return self.value
 
 
-@dataclasses.dataclass(frozen=True)
-class LogRecord:
-    """One logcat line (pre-rendered message, single line)."""
+class LogRecord(NamedTuple):
+    """One logcat line (pre-rendered message, single line).
+
+    A tuple with named fields: one allocation per log line, built and
+    compared like any tuple, and read-only (assigning a field raises
+    ``AttributeError``).
+    """
 
     time_ms: float
     pid: int
@@ -136,7 +139,8 @@ class Logcat:
 
     # -- raw writes ---------------------------------------------------------------
     def write(self, level: Level, tag: str, message: str, pid: int = 0, tid: Optional[int] = None) -> None:
-        """Append one record per line of *message*."""
+        """Append one record per line of *message*, all stamped with the
+        same clock reading."""
         if tid is None:
             tid = pid
         t = self.runtime.telemetry
@@ -144,26 +148,24 @@ class Logcat:
         prof_on = profiler.enabled
         if prof_on:
             profiler.enter("logcat")
-        maxlen = self._records.maxlen
-        written = 0
+        records = self._records
+        before = len(records)
+        now = self._clock.now_ms()
+        if "\n" in message:
+            lines = message.split("\n")
+            for line in lines:
+                records.append(LogRecord(now, pid, tid, level, tag, line))
+            written = len(lines)
+        else:
+            records.append(LogRecord(now, pid, tid, level, tag, message))
+            written = 1
+        # Every append to a full ring evicts its oldest record, so a
+        # multi-line message can cross the capacity boundary mid-call.
+        maxlen = records.maxlen
         dropped_now = 0
-        for line in message.split("\n"):
-            # Eviction is decided per appended line: a multi-line message can
-            # cross the capacity boundary (or fill the ring mid-call).
-            if maxlen is not None and len(self._records) == maxlen:
-                dropped_now += 1
-            self._records.append(
-                LogRecord(
-                    time_ms=self._clock.now_ms(),
-                    pid=pid,
-                    tid=tid,
-                    level=level,
-                    tag=tag,
-                    message=line,
-                )
-            )
-            written += 1
-        self._dropped += dropped_now
+        if maxlen is not None and before + written > maxlen:
+            dropped_now = before + written - maxlen
+            self._dropped += dropped_now
         self._appended += written
         if t.enabled:
             metrics = t.metrics
@@ -177,7 +179,7 @@ class Logcat:
             if dropped_now:
                 _DROPPED_SITE.bind(metrics).inc(dropped_now)
             buffered = self._buffered_handle
-            buffered.value = len(self._records)
+            buffered.value = len(records)
             buffered.dirty = True
         if prof_on:
             profiler.exit()

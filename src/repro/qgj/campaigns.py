@@ -40,6 +40,7 @@ from repro.android.actions import (
     valid_pairs,
 )
 from repro.android.intent import ComponentName, Intent
+from repro.android.uri import Uri
 
 
 class Campaign(enum.Enum):
@@ -73,6 +74,10 @@ _RANDOM_CHARS = string.ascii_letters + string.digits + "$@!%.:/#?&=_- "
 #: the value indexes the alphabet.
 _RANDOM_CHAR_BITS = len(_RANDOM_CHARS).bit_length()
 
+#: The twelve sample URIs, parsed once per process: every intent built with
+#: one of them shares its ``Uri``.  Other data reaches the intent as text.
+_SAMPLE_URIS: Dict[str, Uri] = {text: Uri.parse(text) for text in URI_SAMPLES.values()}
+
 
 @dataclasses.dataclass(frozen=True)
 class FuzzIntent:
@@ -83,12 +88,11 @@ class FuzzIntent:
     extras: Tuple[Tuple[str, object], ...] = ()
 
     def build(self, component: ComponentName) -> Intent:
-        intent = Intent(self.action)
-        if self.data is not None and self.data != "":
-            intent.set_data_string(self.data)
-        intent.set_component(component)
-        for key, value in self.extras:
-            intent.put_extra(key, value)
+        # Blank data means none; a sample URI is handed over parsed.
+        data = self.data or None
+        intent = Intent(self.action, _SAMPLE_URIS.get(data, data), component)
+        if self.extras:
+            intent.extras.update(self.extras)
         return intent
 
 

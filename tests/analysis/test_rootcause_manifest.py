@@ -7,7 +7,9 @@ from repro.analysis.logparse import (
     AnrEvent,
     FatalExceptionEvent,
     HandledExceptionEvent,
+    NativeSignalEvent,
     RebootEvent,
+    SecurityDenialEvent,
 )
 from repro.analysis.manifest import (
     ComponentRecord,
@@ -51,7 +53,41 @@ def handled(time_ms, cls, frames=("com.a.Main",)):
     )
 
 
+#: Event times for the ANR property: a few fixed instants around the 2 s
+#: window's edges force same-millisecond ties; drawn lists are in any order.
+_TIMES = st.one_of(
+    st.sampled_from([0, 999, 1000, 2999, 3000, 3001, 5000]),
+    st.integers(0, 6_000),
+    st.floats(0, 6_000, allow_nan=False),
+)
+_CLASSES = st.sampled_from(["a.A", "a.B", "a.C", "java.lang.SecurityException"])
+_ANRS = st.builds(
+    lambda t: AnrEvent(time_ms=t, process="com.a", component="com.a/.S", reason=""), _TIMES
+)
+_EVENTS = st.lists(
+    st.one_of(
+        st.builds(handled, _TIMES, _CLASSES),
+        st.builds(lambda t, c: fatal(t, [c]), _TIMES, _CLASSES),
+        _ANRS,
+        st.builds(lambda t: RebootEvent(time_ms=t, reason="x"), _TIMES),
+        st.builds(lambda t: SecurityDenialEvent(time_ms=t, detail="d", component=None), _TIMES),
+        st.builds(
+            lambda t: NativeSignalEvent(time_ms=t, signal="SIGABRT", number=6, process="p", reason="r"),
+            _TIMES,
+        ),
+    ),
+    max_size=30,
+)
+
+
 class TestRootCauseRules:
+    @given(_EVENTS, _ANRS)
+    def test_attribute_anr_over_handled_events_only_is_exact(self, events, anr):
+        """The fold passes a segment's handled exceptions, not every event:
+        attribute_anr skips every other type, so the answer is the same."""
+        handled_only = [e for e in events if isinstance(e, HandledExceptionEvent)]
+        assert attribute_anr(anr, handled_only) == attribute_anr(anr, events)
+
     def test_guilty_class_is_innermost(self):
         event = fatal(0, ["java.lang.RuntimeException", "java.lang.NullPointerException"])
         assert guilty_class(event) == "java.lang.NullPointerException"
@@ -195,6 +231,21 @@ class TestStudyCollector:
         collector.fold(logcat.records(), "com.a", "A")
         record = collector.record_for("com.a/com.a.Svc")
         assert record.anr_cause_classes == {"java.lang.IllegalStateException": 1}
+
+    def test_anr_cause_is_the_latest_handled_exception(self):
+        collector = make_collector()
+        clock = Clock()
+        logcat = Logcat(clock)
+        for cls in (IllegalStateException, NullPointerException):
+            exc = cls("slow path")
+            exc.frames = [frame("com.a.Svc", "onStartCommand", 9)]
+            logcat.handled_exception("T", 7, exc)
+            logcat.security_denial(0, "starting Intent { cmp=com.a/.Svc } from q")
+            clock.sleep(300)
+        logcat.anr("com.a", 7, "com.a/.Svc", "blocked")
+        collector.fold(logcat.records(), "com.a", "A")
+        record = collector.record_for("com.a/com.a.Svc")
+        assert record.anr_cause_classes == {"java.lang.NullPointerException": 1}
 
     def test_fold_security_denial(self):
         collector = make_collector()

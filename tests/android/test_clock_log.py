@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.android.clock import Clock
 from repro.android.jtypes import NullPointerException, frame, sigabrt
-from repro.android.log import Level, Logcat, _format_time
+from repro.android.log import Level, LogRecord, Logcat, _format_time
 
 
 class TestClock:
@@ -256,6 +256,67 @@ class TestDroppedAccounting:
         _, log = self.make()
         log.i("T", "a\nb\nc")
         assert log.dropped == 0
+
+    @given(
+        st.integers(1, 6),
+        st.lists(st.integers(1, 5), max_size=12),
+    )
+    def test_every_line_past_capacity_is_one_drop(self, capacity, line_counts):
+        _, log = self.make(capacity=capacity)
+        lines = []
+        for n, count in enumerate(line_counts):
+            message = [f"m{n}.{k}" for k in range(count)]
+            lines.extend(message)
+            log.i("T", "\n".join(message))
+        assert log.dropped == max(0, len(lines) - capacity)
+        assert [r.message for r in log.records()] == lines[-capacity:]
+
+
+class TestLogRecordContract:
+    """A record is a tuple with named fields; the codec, the fold and the
+    shard results rely on the surface pinned here."""
+
+    def record(self, **overrides):
+        fields = dict(time_ms=1500.0, pid=42, tid=43, level=Level.INFO, tag="T", message="hi")
+        fields.update(overrides)
+        return LogRecord(**fields)
+
+    def test_keyword_construction_and_field_order(self):
+        record = self.record()
+        assert LogRecord._fields == ("time_ms", "pid", "tid", "level", "tag", "message")
+        assert tuple(record) == (1500.0, 42, 43, Level.INFO, "T", "hi")
+        assert (record.time_ms, record.pid, record.tid) == (1500.0, 42, 43)
+        assert (record.level, record.tag, record.message) == (Level.INFO, "T", "hi")
+
+    def test_render(self):
+        assert self.record().render() == "06-20 10:00:01.500    42    43 I T: hi"
+
+    def test_equality_and_hash(self):
+        assert self.record() == self.record()
+        assert hash(self.record()) == hash(self.record())
+        assert self.record() != self.record(message="other")
+        assert self.record() != self.record(level=Level.WARN)
+
+    @pytest.mark.parametrize("field", LogRecord._fields)
+    def test_fields_are_read_only(self, field):
+        record = self.record()
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+    def test_no_new_attributes(self):
+        with pytest.raises(AttributeError):
+            self.record().extra = 1
+
+    def test_write_builds_the_same_records(self):
+        clock = Clock()
+        log = Logcat(clock)
+        clock.sleep(1500)
+        log.write(Level.INFO, "T", "hi\nthere", pid=42, tid=43)
+        assert list(log.records()) == [
+            self.record(),
+            self.record(message="there"),
+        ]
+        assert all(type(r) is LogRecord for r in log.records())
 
 
 class TestAppendedMark:

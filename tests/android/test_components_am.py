@@ -263,6 +263,80 @@ class TestDispatch:
         assert device.activity_manager.live_component(info) is first
 
 
+class TestVerdictsFollowChanges:
+    """Resolution and permission verdicts are decided afresh on every
+    dispatch: a change between two dispatches of the same (sender,
+    component, action) shows in the second one's outcome."""
+
+    SENDER = "com.qgj"
+
+    def _dispatch(self, device, kind, action="a"):
+        """``"delivered"``, ``"denied"`` or ``"not found"``."""
+        cls = "MainActivity" if kind == ComponentKind.ACTIVITY else "SyncService"
+        intent = Intent(action).set_class_name("com.example.app", f"com.example.app.{cls}")
+        am = device.activity_manager
+        try:
+            if kind == ComponentKind.ACTIVITY:
+                result = am.start_activity(self.SENDER, intent)
+            else:
+                name, result = am.start_service_with_result(self.SENDER, intent)
+                if name is None:
+                    return "not found"
+        except SecurityException:
+            return "denied"
+        except ActivityNotFoundException:
+            return "not found"
+        assert result.delivered
+        return "delivered"
+
+    KINDS = pytest.mark.parametrize("kind", [ComponentKind.ACTIVITY, ComponentKind.SERVICE])
+
+    @KINDS
+    def test_grant_then_revoke(self, kind):
+        device = Device()
+        device.install(make_package(permission="android.permission.BODY_SENSORS"))
+        assert self._dispatch(device, kind) == "denied"
+        device.permissions.grant(self.SENDER, "android.permission.BODY_SENSORS")
+        assert self._dispatch(device, kind) == "delivered"
+        device.permissions.revoke(self.SENDER, "android.permission.BODY_SENSORS")
+        assert self._dispatch(device, kind) == "denied"
+
+    @KINDS
+    def test_mark_privileged_lifts_a_protected_action_denial(self, kind):
+        device = Device()
+        device.install(make_package())
+        action = "android.intent.action.BATTERY_LOW"
+        assert self._dispatch(device, kind, action) == "denied"
+        device.permissions.mark_privileged(self.SENDER)
+        assert self._dispatch(device, kind, action) == "delivered"
+
+    @KINDS
+    def test_mark_privileged_reaches_a_non_exported_target(self, kind):
+        device = Device()
+        device.install(make_package(exported=False))
+        assert self._dispatch(device, kind) == "denied"
+        device.permissions.mark_privileged(self.SENDER)
+        assert self._dispatch(device, kind) == "delivered"
+
+    @KINDS
+    def test_install_then_uninstall(self, kind):
+        device = Device()
+        assert self._dispatch(device, kind) == "not found"
+        device.install(make_package())
+        assert self._dispatch(device, kind) == "delivered"
+        device.packages.uninstall("com.example.app")
+        assert self._dispatch(device, kind) == "not found"
+
+    @KINDS
+    def test_reinstall_with_a_guard(self, kind):
+        device = Device()
+        device.install(make_package())
+        assert self._dispatch(device, kind) == "delivered"
+        device.packages.uninstall("com.example.app")
+        device.install(make_package(exported=False))
+        assert self._dispatch(device, kind) == "denied"
+
+
 class _CrashingActivity(Activity):
     def on_handle_intent(self, intent, phase):
         raise NullPointerException("Attempt to read from null object")

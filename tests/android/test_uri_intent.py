@@ -184,6 +184,82 @@ class TestIntent:
         assert intent.categories == ["c"]
 
 
+#: Data text for the first-read property: arbitrary text plus the shapes
+#: the parser branches on (empty, fragment only, bare hierarchy marker).
+_DATA_TEXT = st.one_of(
+    st.sampled_from(["", "#", "://", "#://", "tel:", ":", "1http:x", "a://b/c?d#e", "tel:1#"]),
+    st.text(alphabet="ab1:/#?.@ ", max_size=20),
+    st.text(max_size=40),
+)
+
+_FILTERS = (
+    IntentFilter(actions=["a"]),
+    IntentFilter(actions=["a"], schemes=["tel", "https"]),
+    IntentFilter(actions=["a"], schemes=["a", "ab", "b"]),
+    IntentFilter(actions=["a"], schemes=["content"], mime_types=["text/plain"]),
+    IntentFilter(actions=["a"], mime_types=["text/*"]),
+)
+
+_VIEWS = {
+    "data": lambda i: i.data,
+    "scheme": lambda i: i.scheme,
+    "data_string": lambda i: i.data_string,
+    "to_log_string": lambda i: i.to_log_string(),
+    "signature": lambda i: i.signature(),
+    "copy": lambda i: (
+        i.copy().data_string,
+        i.copy().to_log_string(),
+        i.copy().signature(),
+        i.copy().data,
+    ),
+    "match": lambda i: [f.match(i) for f in _FILTERS],
+}
+
+
+class TestDataParsedOnFirstRead:
+    """Data set as text is parsed only when something reads the ``Uri``;
+    no reader can tell it apart from data set as ``Uri.parse(text)``."""
+
+    @given(_DATA_TEXT, st.sampled_from([None, "text/plain"]))
+    def test_text_data_matches_parsed_data(self, text, mime):
+        component = ComponentName("com.x", "com.x.Main")
+
+        def as_text():
+            return Intent("a", text, component).set_type(mime).put_extra("k", 1)
+
+        def via_setter():
+            intent = Intent("a").set_data_string(text).set_type(mime).put_extra("k", 1)
+            return intent.set_component(component)
+
+        parsed = Intent("a", component=component).set_data(Uri.parse(text))
+        parsed.set_type(mime).put_extra("k", 1)
+        for name, view in _VIEWS.items():
+            # A fresh intent per view, so each one reads the data unparsed.
+            assert view(as_text()) == view(parsed), name
+            assert view(via_setter()) == view(parsed), name
+
+    @given(_DATA_TEXT)
+    def test_reads_after_the_first_agree(self, text):
+        intent = Intent("a", text)
+        first = intent.data
+        assert intent.data is first
+        assert intent.data_string == text
+        assert intent.to_log_string() == Intent("a", Uri.parse(text)).to_log_string()
+
+    @pytest.mark.parametrize("bad", [123, b"tel:1", 1.5, ["tel:1"]])
+    def test_non_str_data_raises_when_set(self, bad):
+        with pytest.raises(TypeError):
+            Intent("a", bad)
+        with pytest.raises(TypeError):
+            Intent("a").set_data_string(bad)
+
+    def test_blank_data_is_kept(self):
+        intent = Intent("a", "")
+        assert intent.data_string == ""
+        assert "dat= " in intent.to_log_string()
+        assert intent.data == Uri.parse("")
+
+
 class TestIntentFilter:
     def test_action_match(self):
         filt = IntentFilter(actions=["a.b.VIEW"], categories=[CATEGORY_DEFAULT])

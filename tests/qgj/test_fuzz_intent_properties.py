@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.android.actions import ALL_ACTIONS, URI_SAMPLES
+from repro.android.component import ComponentInfo, ComponentKind
+from repro.android.device import Device
 from repro.android.intent import ComponentName
+from repro.android.jtypes import SecurityException
+from repro.android.package_manager import AppCategory, AppOrigin, PackageInfo
+from repro.android.uri import Uri
 from repro.qgj.campaigns import _RANDOM_CHARS, Campaign, FuzzIntent, generate, random_ascii
 from repro.qgj.triage import CrashBucket, CrashSignature
 
@@ -67,6 +72,104 @@ class TestFuzzIntentBuild:
             expected = "".join(reference.choice(_RANDOM_CHARS) for _ in range(length))
             assert random_ascii(ours, min_len, max_len) == expected
         assert ours.getstate() == reference.getstate()
+
+
+def _counting_parse(monkeypatch):
+    """Replace ``Uri.parse`` with a wrapper that records every call."""
+    calls = []
+    real = Uri.parse
+
+    def parse(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(Uri, "parse", staticmethod(parse))
+    return calls
+
+
+def _device_with(package, exported):
+    components = [
+        ComponentInfo(
+            name=ComponentName(package, f"{package}.{cls}"),
+            kind=kind,
+            exported=exported,
+        )
+        for cls, kind in (("Main", ComponentKind.ACTIVITY), ("Sync", ComponentKind.SERVICE))
+    ]
+    device = Device("d")
+    device.install(
+        PackageInfo(
+            package=package,
+            label=package,
+            category=AppCategory.OTHER,
+            origin=AppOrigin.THIRD_PARTY,
+            components=components,
+        )
+    )
+    return device, components
+
+
+class TestSharedAndDeferredParsing:
+    """Sample URIs are parsed once per process; any other data is parsed
+    only when something reads the ``Uri``, which a denied intent never
+    does."""
+
+    def test_builds_of_one_sample_share_one_uri(self, monkeypatch):
+        calls = _counting_parse(monkeypatch)
+        other = ComponentName("com.b", "com.b.Sync")
+        built = [
+            (
+                text,
+                FuzzIntent(action=ALL_ACTIONS[0], data=text).build(CMP),
+                FuzzIntent(action=None, data=text).build(other),
+            )
+            for text in URI_SAMPLES.values()
+        ]
+        for text, first, second in built:
+            assert first.data is second.data
+            assert first.scheme == second.scheme
+        assert calls == []
+        for text, first, _ in built:
+            assert first.data == Uri.parse(text)
+
+    @pytest.mark.parametrize("data", ["S0me.r@ndom:$trinG", "tel:123", ""])
+    @pytest.mark.parametrize("kind", [ComponentKind.ACTIVITY, ComponentKind.SERVICE])
+    def test_non_exported_denial_never_parses(self, monkeypatch, data, kind):
+        device, components = _device_with("com.closed", exported=False)
+        (info,) = [c for c in components if c.kind == kind]
+        calls = _counting_parse(monkeypatch)
+        intent = FuzzIntent(action="android.intent.action.VIEW", data=data).build(info.name)
+        am = device.activity_manager
+        with pytest.raises(SecurityException):
+            if kind == ComponentKind.ACTIVITY:
+                am.start_activity("com.qgj", intent)
+            else:
+                am.start_service_with_result("com.qgj", intent)
+        assert "not exported" in device.adb.logcat()
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", [ComponentKind.ACTIVITY, ComponentKind.SERVICE])
+    def test_protected_action_denial_never_parses(self, monkeypatch, kind):
+        device, components = _device_with("com.open", exported=True)
+        (info,) = [c for c in components if c.kind == kind]
+        calls = _counting_parse(monkeypatch)
+        intent = FuzzIntent(action="android.intent.action.BATTERY_LOW", data="x:y#z").build(info.name)
+        am = device.activity_manager
+        with pytest.raises(SecurityException):
+            if kind == ComponentKind.ACTIVITY:
+                am.start_activity("com.qgj", intent)
+            else:
+                am.start_service_with_result("com.qgj", intent)
+        assert "protected action" in device.adb.logcat()
+        assert calls == []
+
+    def test_first_read_parses_once(self, monkeypatch):
+        calls = _counting_parse(monkeypatch)
+        intent = FuzzIntent(action=None, data="garbage://x").build(CMP)
+        assert calls == []
+        assert intent.scheme == "garbage"
+        assert intent.data is intent.data
+        assert calls == ["garbage://x"]
 
 
 class TestReproducerLines:
