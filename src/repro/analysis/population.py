@@ -60,12 +60,6 @@ class CohortStats:
     crash_rate_p95: float
     crash_rate_p99: float
 
-    @property
-    def crash_rate_overall(self) -> float:
-        if self.sent == 0:
-            return 0.0
-        return 1000.0 * self.crashes / self.sent
-
 
 @dataclasses.dataclass(frozen=True)
 class PopulationReport:

@@ -161,10 +161,14 @@ _BROADCAST_ACTIONS: Tuple[str, ...] = (
     "android.os.action.POWER_SAVE_MODE_CHANGED",
 )
 
-_WEAR_ACTIONS: Tuple[str, ...] = (
+#: The Wear system's own broadcasts, protected like the ones above.
+_CLOCKWORK_BROADCASTS: Tuple[str, ...] = (
     "com.google.android.clockwork.action.AMBIENT_STARTED",
     "com.google.android.clockwork.action.AMBIENT_STOPPED",
     "com.google.android.clockwork.home.action.RETAIL_MODE",
+)
+
+_WEAR_ACTIONS: Tuple[str, ...] = _CLOCKWORK_BROADCASTS + (
     "com.google.android.wearable.action.VOICE_INPUT",
     "com.google.android.gms.fitness.TRACK",
     "com.google.android.gms.fitness.VIEW",
@@ -186,6 +190,9 @@ ALL_ACTIONS: Tuple[str, ...] = (
 )
 
 KNOWN_ACTIONS: FrozenSet[str] = frozenset(ALL_ACTIONS)
+
+#: The actions only the system may send (see :mod:`repro.android.permissions`).
+PROTECTED_BROADCASTS: Tuple[str, ...] = _BROADCAST_ACTIONS + _CLOCKWORK_BROADCASTS
 
 # ---------------------------------------------------------------------------
 # Data URI types.  Twelve, as in the paper, each with a canonical sample.

@@ -21,6 +21,8 @@ import dataclasses
 import enum
 from typing import Dict, FrozenSet, Iterable, Optional, Set
 
+from repro.android.actions import PROTECTED_BROADCASTS
+
 
 class ProtectionLevel(enum.Enum):
     """Android permission protection levels (simplified)."""
@@ -41,55 +43,7 @@ class Permission:
 #: Actions only the system may originate.  Sending one from an unprivileged
 #: app raises SecurityException at the activity-manager boundary -- "the
 #: specified and secure behavior" per the paper.
-PROTECTED_ACTIONS: FrozenSet[str] = frozenset(
-    {
-        "android.intent.action.BATTERY_LOW",
-        "android.intent.action.BATTERY_OKAY",
-        "android.intent.action.BATTERY_CHANGED",
-        "android.intent.action.BOOT_COMPLETED",
-        "android.intent.action.LOCKED_BOOT_COMPLETED",
-        "android.intent.action.DEVICE_STORAGE_LOW",
-        "android.intent.action.DEVICE_STORAGE_OK",
-        "android.intent.action.ACTION_POWER_CONNECTED",
-        "android.intent.action.ACTION_POWER_DISCONNECTED",
-        "android.intent.action.ACTION_SHUTDOWN",
-        "android.intent.action.REBOOT",
-        "android.intent.action.MEDIA_MOUNTED",
-        "android.intent.action.MEDIA_UNMOUNTED",
-        "android.intent.action.MEDIA_REMOVED",
-        "android.intent.action.MEDIA_EJECT",
-        "android.intent.action.PACKAGE_ADDED",
-        "android.intent.action.PACKAGE_REMOVED",
-        "android.intent.action.PACKAGE_REPLACED",
-        "android.intent.action.PACKAGE_RESTARTED",
-        "android.intent.action.PACKAGE_DATA_CLEARED",
-        "android.intent.action.UID_REMOVED",
-        "android.intent.action.CONFIGURATION_CHANGED",
-        "android.intent.action.LOCALE_CHANGED",
-        "android.intent.action.TIMEZONE_CHANGED",
-        "android.intent.action.TIME_SET",
-        "android.intent.action.DATE_CHANGED",
-        "android.intent.action.USER_PRESENT",
-        "android.intent.action.SCREEN_ON",
-        "android.intent.action.SCREEN_OFF",
-        "android.intent.action.DREAMING_STARTED",
-        "android.intent.action.DREAMING_STOPPED",
-        "android.intent.action.AIRPLANE_MODE",
-        "android.intent.action.NEW_OUTGOING_CALL",
-        "android.intent.action.MY_PACKAGE_REPLACED",
-        "android.net.conn.CONNECTIVITY_CHANGE",
-        "android.net.wifi.STATE_CHANGE",
-        "android.net.wifi.WIFI_STATE_CHANGED",
-        "android.bluetooth.adapter.action.STATE_CHANGED",
-        "android.bluetooth.device.action.ACL_CONNECTED",
-        "android.bluetooth.device.action.ACL_DISCONNECTED",
-        "android.os.action.DEVICE_IDLE_MODE_CHANGED",
-        "android.os.action.POWER_SAVE_MODE_CHANGED",
-        "com.google.android.clockwork.action.AMBIENT_STARTED",
-        "com.google.android.clockwork.action.AMBIENT_STOPPED",
-        "com.google.android.clockwork.home.action.RETAIL_MODE",
-    }
-)
+PROTECTED_ACTIONS: FrozenSet[str] = frozenset(PROTECTED_BROADCASTS)
 
 #: Well-known permission objects, indexed by name.
 _WELL_KNOWN = [

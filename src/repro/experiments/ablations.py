@@ -459,20 +459,6 @@ def render_os_chaos_rows(rows: Sequence[OsChaosRow]) -> str:
     return "\n".join(lines)
 
 
-def render_guided_rows(rows: Sequence[GuidedAblationRow]) -> str:
-    lines = [
-        "ABLATION: guided vs blind (equal intent budget)",
-        "-" * 60,
-        f"{'mode':>8} {'intents':>9} {'buckets':>8} {'/1k':>7} {'corpus':>7} {'rounds':>7}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.mode:>8} {row.intents:>9} {row.distinct_buckets:>8} "
-            f"{row.buckets_per_kintents:>7.2f} {row.corpus_size:>7} {row.rounds:>7}"
-        )
-    return "\n".join(lines)
-
-
 def render_rows(rows: Sequence[AblationRow]) -> str:
     lines = [
         f"ABLATION: {rows[0].parameter}" if rows else "ABLATION (empty)",

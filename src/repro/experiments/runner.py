@@ -180,7 +180,8 @@ options:
   --service-fault-seed N
                    arm (only) the OS-service fault streams -- service
                    unavailability windows, corrupted service replies,
-                   system_server restarts; composes with --fault-seed
+                   system_server restarts; beside --fault-seed it does
+                   nothing (those streams are armed and its seed wins)
   --compat-skew N  pin the device pair's API levels N apart (phone behind
                    the wearable): version-gated calls fail with
                    NoSuchMethodError-style compat mismatches and data-sync
@@ -409,8 +410,9 @@ def main(argv=None) -> int:
     lanes = opts.lanes if opts.lanes is not None else 1
     workers = resolve_workers(workers, units=lanes if fleet_given else None)
     # One composition rule, shared with the service daemon: --fault-seed
-    # arms every stream, --service-fault-seed arms (or re-seeds onto) the
-    # OS-service streams, --compat-skew pins the pair's API matrix.
+    # arms every stream, --service-fault-seed alone arms the OS-service
+    # streams (beside --fault-seed it does nothing), --compat-skew pins the
+    # pair's API matrix.
     plan: Optional[FaultPlan] = faults.compose_plan(
         fault_seed=opts.fault_seed,
         service_fault_seed=opts.service_fault_seed,

@@ -18,7 +18,7 @@ lie.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.faults.journal import CheckpointJournal
 
@@ -84,9 +84,6 @@ class StudyManifest:
 
     def header(self) -> Dict[str, Any]:
         return self._journal.header()
-
-    def shard_table(self) -> List[Dict[str, Any]]:
-        return list(self.header().get("shards", []))
 
     def validate_resume(
         self, *, study: str, config: str, fault_fingerprint: str, workers: int

@@ -10,8 +10,6 @@ from app-level intent fuzzing.  This package brings both into the QGJ stack:
   seeded schedule of adb session drops, binder transport failures, lmkd
   process kills, logcat truncation, OS-service outages/corruptions,
   system_server restarts, and compat mismatches, on the virtual clock;
-* :mod:`repro.faults.services` -- the OS-service profile
-  (:class:`ServiceFaultPlan`) and its window constants;
 * :mod:`repro.faults.plane` -- the installed plane and its hook entry
   points in ``adb.py`` / ``binder.py`` / ``process.py`` /
   ``activity_manager.py`` / ``package_manager.py`` / ``sensor.py``;
@@ -55,6 +53,8 @@ from repro.faults.journal import CheckpointJournal, KillSwitch, SharedKillSwitch
 from repro.faults.plan import (
     BASE_WEAR_API,
     CHAOS_INTERVALS_MS,
+    INTERVAL_FIELDS,
+    SERVICE_OUTAGE_WINDOW_MS,
     CompatMatrix,
     FaultEvent,
     FaultKind,
@@ -64,7 +64,6 @@ from repro.faults.plan import (
 from repro.faults.plane import NOOP_PLANE, FaultPlane, NoopPlane
 from repro.faults.quarantine import CircuitBreaker, QuarantineEvent
 from repro.faults.retry import RetryPolicy
-from repro.faults.services import SERVICE_OUTAGE_WINDOW_MS, ServiceFaultPlan
 
 __all__ = [
     "AdbSessionDropped",
@@ -85,7 +84,6 @@ __all__ = [
     "QuarantineEvent",
     "RetryPolicy",
     "SERVICE_OUTAGE_WINDOW_MS",
-    "ServiceFaultPlan",
     "ServiceRestarted",
     "ServiceUnavailable",
     "SharedKillSwitch",
@@ -151,13 +149,15 @@ def compose_plan(
 ) -> Optional[FaultPlan]:
     """The one composition rule for the CLI's three chaos knobs.
 
-    ``--fault-seed`` arms every stream, then ``--service-fault-seed`` arms
-    (or re-seeds onto) the OS-service streams, then ``--compat-skew`` pins
-    the device pair's API matrix on whatever is armed.  Returns ``None``
-    when no knob is given -- the no-op plane.  The batch runner and the
-    service daemon both build their plans here, so a submitted study spec
-    reproduces exactly the plan the equivalent one-shot invocation would
-    install.
+    ``--fault-seed`` arms every stream at its chaos rate.  Without it,
+    ``--service-fault-seed`` arms only the three OS-service streams, at the
+    same rates, seeded with its own value; beside ``--fault-seed`` it does
+    nothing, since those streams are already armed and the base plan's seed
+    wins.  ``--compat-skew`` then pins the device pair's API matrix on
+    whatever is armed.  Returns ``None`` when no knob is given -- the no-op
+    plane.  The batch runner and the service daemon both build their plans
+    here, so a submitted study spec reproduces exactly the plan the
+    equivalent one-shot invocation would install.
     """
     if compat_skew is not None and not (0 <= compat_skew < BASE_WEAR_API):
         raise ValueError(
@@ -166,8 +166,16 @@ def compose_plan(
     plan: Optional[FaultPlan] = None
     if fault_seed is not None:
         plan = FaultPlan.chaos(seed=fault_seed)
-    if service_fault_seed is not None:
-        plan = ServiceFaultPlan(seed=service_fault_seed).apply(plan)
+    elif service_fault_seed is not None:
+        service = (
+            FaultKind.SERVICE_OUTAGE,
+            FaultKind.SERVICE_CORRUPT,
+            FaultKind.SYSTEM_RESTART,
+        )
+        plan = FaultPlan(
+            seed=service_fault_seed,
+            **{INTERVAL_FIELDS[kind]: CHAOS_INTERVALS_MS[kind] for kind in service},
+        )
     if compat_skew is not None:
         base = plan if plan is not None else FaultPlan(seed=0)
         plan = dataclasses.replace(

@@ -25,12 +25,11 @@ onto this simulator:
 * ``LOGCAT_TRUNCATE`` -- the log ring loses its oldest half before the
   operator pulls it.
 
-The OS-service family (:mod:`repro.faults.services` holds the profile and
-window constants) extends the taxonomy into ``system_server`` itself:
+The OS-service family extends the taxonomy into ``system_server`` itself:
 
 * ``SERVICE_OUTAGE`` -- one system service (activity / package / sensor)
-  is unavailable for a window; calls raise ``DeadObjectException``-style
-  errors until the window closes;
+  is unavailable for :data:`SERVICE_OUTAGE_WINDOW_MS`; calls raise
+  ``DeadObjectException``-style errors until the window closes;
 * ``SERVICE_CORRUPT`` -- a service returns a corrupted reply: the package
   manager ships a stale/mangled ``ComponentInfo`` parcel, the sensor
   service drops or duplicates a listener registration;
@@ -83,6 +82,13 @@ BINDER_TOO_LARGE = "TransactionTooLargeException"
 #: System services the outage stream can take down (event ``param``).  The
 #: android-layer hook sites name themselves with the same plain strings.
 OUTAGE_SERVICES = ("activity", "package", "sensor")
+
+#: How long one SERVICE_OUTAGE keeps its service down (virtual ms).  The
+#: default retry schedule (4 attempts, 50ms base, x2 backoff) sleeps ~350ms
+#: cumulative, so retries usually -- but not always -- outlast a window:
+#: most outages are absorbed as retries, a few surface as quarantine
+#: pressure, exactly the transient-fault texture the study wants.
+SERVICE_OUTAGE_WINDOW_MS = 400.0
 
 #: Corrupted-reply manifestations (``SERVICE_CORRUPT`` event ``param``).
 CORRUPT_STALE_COMPONENT = "stale_component"
@@ -230,14 +236,7 @@ class FaultPlan:
         """The default chaos profile (every stream at its default rate)."""
         return FaultPlan(
             seed=seed,
-            adb_drop_every_ms=CHAOS_INTERVALS_MS[FaultKind.ADB_DROP],
-            binder_every_ms=CHAOS_INTERVALS_MS[FaultKind.BINDER],
-            lmkd_every_ms=CHAOS_INTERVALS_MS[FaultKind.LMKD_KILL],
-            logcat_truncate_every_ms=CHAOS_INTERVALS_MS[FaultKind.LOGCAT_TRUNCATE],
-            service_outage_every_ms=CHAOS_INTERVALS_MS[FaultKind.SERVICE_OUTAGE],
-            service_corrupt_every_ms=CHAOS_INTERVALS_MS[FaultKind.SERVICE_CORRUPT],
-            system_restart_every_ms=CHAOS_INTERVALS_MS[FaultKind.SYSTEM_RESTART],
-            compat_mismatch_every_ms=CHAOS_INTERVALS_MS[FaultKind.COMPAT_MISMATCH],
+            **{INTERVAL_FIELDS[kind]: ms for kind, ms in CHAOS_INTERVALS_MS.items()},
         )
 
 

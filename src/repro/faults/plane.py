@@ -36,7 +36,7 @@ phone) each see an independent, deterministic schedule.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro import telemetry
 from repro.android.jtypes import DeadObjectException, TransactionTooLargeException
@@ -52,12 +52,12 @@ from repro.faults.plan import (
     BINDER_TOO_LARGE,
     COMPAT_MISSING_METHOD,
     CORRUPT_STALE_COMPONENT,
+    SERVICE_OUTAGE_WINDOW_MS,
     FaultEvent,
     FaultKind,
     FaultPlan,
     PlanExecution,
 )
-from repro.faults.services import SERVICE_OUTAGE_WINDOW_MS
 from repro.telemetry.metrics import (
     COMPAT_MISMATCHES,
     FAULTS_INJECTED,
@@ -82,53 +82,33 @@ COMPAT_GATED_FEATURES = {
 }
 
 
-def _count_fault(event: FaultEvent, clock: Optional["Clock"], handle=None) -> None:
-    t = handle if handle is not None else telemetry.get()
-    if not t.enabled:
-        return
-    t.metrics.counter(
-        FAULTS_INJECTED,
-        "Environment faults injected by the chaos plane, by kind.",
-        ("kind",),
-    ).labels(kind=event.kind.value).inc()
-    if clock is not None:
-        with t.tracer.span(
-            "fault", clock=clock, kind=event.kind.value, param=event.param
-        ):
-            pass
+_TRANSPORT_COUNTER = (
+    FAULTS_INJECTED,
+    "Environment faults injected by the chaos plane, by kind.",
+    ("kind",),
+)
+_SERVICE_COUNTER = (
+    SERVICE_FAULTS_INJECTED,
+    "OS-service faults injected by the chaos plane, by kind.",
+    ("kind",),
+)
 
-
-def _count_service_fault(
-    event: FaultEvent, clock: Optional["Clock"], handle=None
-) -> None:
-    t = handle if handle is not None else telemetry.get()
-    if not t.enabled:
-        return
-    t.metrics.counter(
-        SERVICE_FAULTS_INJECTED,
-        "OS-service faults injected by the chaos plane, by kind.",
-        ("kind",),
-    ).labels(kind=event.kind.value).inc()
-    if clock is not None:
-        with t.tracer.span(
-            "fault", clock=clock, kind=event.kind.value, param=event.param
-        ):
-            pass
-
-
-def _count_compat(event: FaultEvent, clock: Optional["Clock"], handle=None) -> None:
-    t = handle if handle is not None else telemetry.get()
-    if not t.enabled:
-        return
-    t.metrics.counter(
+#: The counter each fault kind bumps: ``(name, help, label names)``.  A
+#: family registers on its first event, so a clean run exports none.
+_COUNTERS: Dict[FaultKind, Tuple[str, str, Tuple[str, ...]]] = {
+    FaultKind.ADB_DROP: _TRANSPORT_COUNTER,
+    FaultKind.BINDER: _TRANSPORT_COUNTER,
+    FaultKind.LMKD_KILL: _TRANSPORT_COUNTER,
+    FaultKind.LOGCAT_TRUNCATE: _TRANSPORT_COUNTER,
+    FaultKind.SERVICE_OUTAGE: _SERVICE_COUNTER,
+    FaultKind.SERVICE_CORRUPT: _SERVICE_COUNTER,
+    FaultKind.SYSTEM_RESTART: _SERVICE_COUNTER,
+    FaultKind.COMPAT_MISMATCH: (
         COMPAT_MISMATCHES,
         "Version-gated manifestations under a skewed phone/wear pair.",
-    ).inc()
-    if clock is not None:
-        with t.tracer.span(
-            "fault", clock=clock, kind=event.kind.value, param=event.param
-        ):
-            pass
+        (),
+    ),
+}
 
 
 class FaultPlane:
@@ -138,21 +118,32 @@ class FaultPlane:
 
     def __init__(self, plan: FaultPlan, telemetry_handle=None) -> None:
         self.plan = plan
-        self._executions: Dict[int, PlanExecution] = {}
-        #: Strong refs so id() keys stay unique for the plane's lifetime.
-        self._clocks: Dict[int, "Clock"] = {}
+        self._executions: Dict["Clock", PlanExecution] = {}
+        self._compat_skewed = plan.compat is not None and plan.compat.skew > 0
         #: Scoped telemetry for fault counters (a farm shard's handle);
         #: ``None`` falls back to the process-wide handle per event.
         self._telemetry = telemetry_handle
 
     # -- execution state ---------------------------------------------------------
     def execution_for(self, clock: "Clock") -> PlanExecution:
-        execution = self._executions.get(id(clock))
+        execution = self._executions.get(clock)
         if execution is None:
             execution = PlanExecution(self.plan)
-            self._executions[id(clock)] = execution
-            self._clocks[id(clock)] = clock
+            self._executions[clock] = execution
         return execution
+
+    def _record(self, event: FaultEvent, clock: "Clock") -> None:
+        """Count *event* on its kind's counter and trace it as a ``fault`` span."""
+        t = self._telemetry if self._telemetry is not None else telemetry.get()
+        if not t.enabled:
+            return
+        name, help_text, labelnames = _COUNTERS[event.kind]
+        labels = {"kind": event.kind.value} if labelnames else {}
+        t.metrics.counter(name, help_text, labelnames).labels(**labels).inc()
+        with t.tracer.span(
+            "fault", clock=clock, kind=event.kind.value, param=event.param
+        ):
+            pass
 
     def fingerprint(self) -> str:
         return self.plan.fingerprint()
@@ -168,11 +159,11 @@ class FaultPlane:
         execution = self.execution_for(clock)
         now = clock.now_ms()
         for event in execution.take_due(FaultKind.LOGCAT_TRUNCATE, now):
-            _count_fault(event, clock, self._telemetry)
+            self._record(event, clock)
             self._truncate_logcat(device)
         drops = execution.take_due(FaultKind.ADB_DROP, now, limit=1)
         if drops:
-            _count_fault(drops[0], clock, self._telemetry)
+            self._record(drops[0], clock)
             raise AdbSessionDropped(
                 f"adb: device {device.name!r} not found (session dropped at "
                 f"{drops[0].at_ms:.0f}ms)"
@@ -192,7 +183,7 @@ class FaultPlane:
         if not due:
             return
         event = due[0]
-        _count_fault(event, clock, self._telemetry)
+        self._record(event, clock)
         if event.param == BINDER_TOO_LARGE:
             raise TransactionTooLargeException(
                 f"data parcel size exceeds binder buffer on {descriptor}"
@@ -216,33 +207,31 @@ class FaultPlane:
             )
             if not victims:
                 continue
-            _count_fault(event, clock, self._telemetry)
+            self._record(event, clock)
             victim = execution.victim_rng.choice(victims)
             table.lmkd_kill(victim)
 
     # -- OS-service hooks --------------------------------------------------------
     def _drain_outages(self, execution: PlanExecution, clock: "Clock") -> None:
         for event in execution.take_due(FaultKind.SERVICE_OUTAGE, clock.now_ms()):
-            _count_service_fault(event, clock, self._telemetry)
+            self._record(event, clock)
             end = event.at_ms + SERVICE_OUTAGE_WINDOW_MS
             if end > execution.outages.get(event.param, 0.0):
                 execution.outages[event.param] = end
 
     def _drain_corruptions(self, execution: PlanExecution, clock: "Clock") -> None:
         for event in execution.take_due(FaultKind.SERVICE_CORRUPT, clock.now_ms()):
-            _count_service_fault(event, clock, self._telemetry)
+            self._record(event, clock)
             execution.pending_corruptions.append(event.param)
 
     def _drain_compat(self, execution: PlanExecution, clock: "Clock") -> None:
-        compat = self.plan.compat
-        skewed = compat is not None and compat.skew > 0
         for event in execution.take_due(FaultKind.COMPAT_MISMATCH, clock.now_ms()):
-            if not skewed:
+            if not self._compat_skewed:
                 # Matched pair: the stream stays wired but is inert -- events
                 # drain silently and uncounted, so a zero-skew run is
                 # byte-identical to a run with no matrix at all.
                 continue
-            _count_compat(event, clock, self._telemetry)
+            self._record(event, clock)
             if event.param == COMPAT_MISSING_METHOD:
                 execution.pending_missing_method += 1
             else:
@@ -269,7 +258,7 @@ class FaultPlane:
         execution = self.execution_for(clock)
         restarts = execution.take_due(FaultKind.SYSTEM_RESTART, clock.now_ms(), limit=1)
         if restarts:
-            _count_service_fault(restarts[0], clock, self._telemetry)
+            self._record(restarts[0], clock)
             # The restart resets in-flight service state: open windows close
             # and unconsumed corrupted replies die with their services.
             execution.outages.clear()
@@ -329,33 +318,9 @@ class FaultPlane:
 
 
 class NoopPlane:
-    """Disabled twin: every hook is free and injects nothing."""
+    """Disabled twin: ``armed`` is ``False``, so no hook site calls it."""
 
     armed = False
-
-    def on_adb(self, device: "Device") -> None:  # pragma: no cover - never called hot
-        pass
-
-    def on_transact(self, clock: "Clock", descriptor: str) -> None:  # pragma: no cover
-        pass
-
-    def on_process_table(self, table: "ProcessTable") -> None:  # pragma: no cover
-        pass
-
-    def on_system_service(self, device: "Device", service: str) -> None:  # pragma: no cover
-        pass
-
-    def on_resolve(self, device: "Device") -> None:  # pragma: no cover
-        pass
-
-    def check_service(self, clock: "Clock", service: str) -> None:  # pragma: no cover
-        pass
-
-    def take_corruption(self, clock: "Clock", param: str) -> bool:  # pragma: no cover
-        return False
-
-    def take_compat_delta(self, clock: "Clock") -> bool:  # pragma: no cover
-        return False
 
     def fingerprint(self) -> str:
         return "none"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
-from typing import Callable, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Generator, Iterable, Optional, Sequence, Tuple
 
 from repro.android.activity_manager import DispatchResult
 from repro.android.component import ComponentInfo, ComponentKind
@@ -580,15 +580,6 @@ class FuzzerLibrary:
                 app_result.quarantined = True
                 break
         return app_result
-
-    def fuzz_app_all_campaigns(
-        self,
-        package_name: str,
-        config: FuzzConfig = QUICK_CONFIG,
-        campaigns: Iterable[Campaign] = tuple(Campaign),
-    ) -> List[AppRunResult]:
-        """All four campaigns, one after another, as in the experiments."""
-        return [self.fuzz_app(package_name, campaign, config) for campaign in campaigns]
 
     # -- whole device -----------------------------------------------------------------
     def fuzz_device(

@@ -80,6 +80,7 @@ submit options:
   --campaigns SET   campaign letters, e.g. AB (default: all four)
   --fault-seed N, --service-fault-seed N, --compat-skew N
                     chaos knobs, same semantics as the batch runner
+                    (--service-fault-seed does nothing beside --fault-seed)
   --workers N       shard the study across N workers (default: 1)
   --scheduler NAME  guided bandit policy: ucb or thompson
   --guided-budget N total guided intent budget

@@ -143,10 +143,6 @@ class StudyQueue:
         return [self._jobs[fingerprint] for fingerprint in self._order]
 
     @_locked
-    def lease_for(self, fingerprint: str) -> Optional[Lease]:
-        return self._leases.get(fingerprint)
-
-    @_locked
     def counts(self) -> Dict[str, int]:
         counts = {QUEUED: 0, LEASED: 0, DONE: 0, POISONED: 0}
         for job in self._jobs.values():

@@ -275,14 +275,14 @@ class Tracer:
         Span ids are re-issued from this tracer's sequence so merged traces
         stay unique; parent links are remapped within the absorbed batch and
         severed (→ root) when the parent fell outside it -- the same thing
-        the ring buffer does to a span whose parent was evicted.  *dropped*
-        and *sampled_out* carry the source tracer's own accounting forward.
+        the ring buffer does to a span whose parent was evicted.  A parent
+        finishes after its children, so the whole batch's ids are mapped
+        before any link is.  *dropped* and *sampled_out* carry the source
+        tracer's own accounting forward.
         """
-        id_map: Dict[int, int] = {}
+        id_map = {span.span_id: next(self._ids) for span in spans}
         for span in spans:
-            new_id = next(self._ids)
-            id_map[span.span_id] = new_id
-            span.span_id = new_id
+            span.span_id = id_map[span.span_id]
             if span.parent_id is not None:
                 span.parent_id = id_map.get(span.parent_id)
             self._finished.append(span)

@@ -1,5 +1,7 @@
 """Tests for the platform action/URI registry."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,6 +38,15 @@ class TestRegistryIntegrity:
         # the SecurityException dominance comes from.
         overlap = PROTECTED_ACTIONS & KNOWN_ACTIONS
         assert len(overlap) >= 40
+
+    def test_protected_actions_are_the_pinned_45(self):
+        # Built from the broadcast tuples; the digest of the sorted members
+        # was recorded from the hand-written set it replaced.
+        assert len(PROTECTED_ACTIONS) == 45
+        members = "\n".join(sorted(PROTECTED_ACTIONS)).encode()
+        assert hashlib.sha256(members).hexdigest() == (
+            "3f271d8ad8c70ab2a16254116521b31c994456c297a20f78c4e457b65a7157fc"
+        )
 
     def test_protected_share_supports_security_dominance(self):
         share = len(PROTECTED_ACTIONS & KNOWN_ACTIONS) / len(ALL_ACTIONS)

@@ -131,8 +131,9 @@ class TestCrashedWorkerEquivalence:
 class TestTelemetryEquivalence:
     @staticmethod
     def _projection(tracer):
-        # Worker merges re-issue span ids (and sever cross-shard parents),
-        # so equivalence is judged on the id-less deterministic view.
+        # Worker merges re-issue span ids, so equivalence is judged on the
+        # id-less deterministic view; each span's parent is named by the
+        # tree test below.
         return [
             (
                 span.name,
@@ -142,6 +143,24 @@ class TestTelemetryEquivalence:
             )
             for span in tracer.spans()
         ]
+
+    def test_merged_trace_keeps_every_parent_link(self):
+        # A shard's spans arrive children first (a span is recorded when it
+        # finishes), so the merge must map the whole batch before linking.
+        trees = {}
+        for workers in (1, 2):
+            with telemetry.session() as t:
+                run_wear_study(
+                    QUICK, packages=PACKAGES, campaigns=CAMPAIGNS, workers=workers
+                )
+                spans = t.tracer.spans()
+            names = {span.span_id: span.name for span in spans}
+            trees[workers] = [
+                (view, names.get(span.parent_id))
+                for view, span in zip(self._projection(t.tracer), spans)
+            ]
+        assert any(parent == "package" for _, parent in trees[1])
+        assert trees[2] == trees[1]
 
     def test_worker_local_telemetry_merges_to_the_in_process_totals(self):
         with telemetry.session() as t:

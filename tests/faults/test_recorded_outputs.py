@@ -16,6 +16,7 @@ from repro import faults, telemetry
 from repro.experiments.config import QUICK
 from repro.experiments.wear_experiment import run_wear_study
 from repro.faults import CompatMatrix, FaultKind, FaultPlan, compose_plan
+from repro.telemetry.exporters import render_prometheus
 from repro.telemetry.metrics import (
     COMPAT_MISMATCHES,
     FAULTS_INJECTED,
@@ -55,6 +56,17 @@ RECORDED = {
     ),
 }
 
+#: The DENSE run's telemetry: its full ``render_prometheus`` text, and the
+#: ``repr`` of its fault spans as (name, sorted attributes, virtual start,
+#: virtual end).  Recorded while the plane still had one fault recorder per
+#: counter family, before they were folded into one.
+DENSE_METRICS_DIGEST = (
+    "c5e05a53d64685fda4abe553d65c700a824020647a5d2cbfa5b0082bae340ce9"
+)
+DENSE_FAULT_SPANS_DIGEST = (
+    "7867f81998424a4795658a23a11036b9301b3e52dab8ec23b193985386f15131"
+)
+
 
 @pytest.fixture(autouse=True)
 def _no_leaked_plane():
@@ -74,19 +86,51 @@ def test_render_matches_recorded_digest(name):
     assert _digest(plan) == recorded
 
 
-def test_dense_plan_fires_every_kind_and_matches_recorded_digest():
-    plan, recorded = RECORDED["dense"]
+@pytest.fixture(scope="module")
+def dense_run():
+    """The DENSE study once, under telemetry: its render digest and handle."""
+    plan, _ = RECORDED["dense"]
     with telemetry.session() as t:
-        assert _digest(plan) == recorded
-        transport = t.metrics.get(FAULTS_INJECTED)
-        service = t.metrics.get(SERVICE_FAULTS_INJECTED)
-        fired = {
-            kind: (
-                t.metrics.get(COMPAT_MISMATCHES).total()
-                if kind is FaultKind.COMPAT_MISMATCH
-                else (transport.total_where(kind=kind.value) if transport else 0)
-                + (service.total_where(kind=kind.value) if service else 0)
-            )
-            for kind in FaultKind
-        }
+        digest = _digest(plan)
+    return digest, t
+
+
+def test_dense_plan_fires_every_kind_and_matches_recorded_digest(dense_run):
+    digest, t = dense_run
+    assert digest == RECORDED["dense"][1]
+    transport = t.metrics.get(FAULTS_INJECTED)
+    service = t.metrics.get(SERVICE_FAULTS_INJECTED)
+    fired = {
+        kind: (
+            t.metrics.get(COMPAT_MISMATCHES).total()
+            if kind is FaultKind.COMPAT_MISMATCH
+            else (transport.total_where(kind=kind.value) if transport else 0)
+            + (service.total_where(kind=kind.value) if service else 0)
+        )
+        for kind in FaultKind
+    }
     assert all(count > 0 for count in fired.values()), fired
+
+
+def test_dense_plan_metrics_export_matches_recorded_digest(dense_run):
+    # Every series, fault counters included, byte for byte.
+    _, t = dense_run
+    text = render_prometheus(t.metrics)
+    assert hashlib.sha256(text.encode()).hexdigest() == DENSE_METRICS_DIGEST
+
+
+def test_dense_plan_fault_spans_match_recorded_digest(dense_run):
+    # All 513 fault spans: kind and param, in order, on the virtual clock.
+    _, t = dense_run
+    spans = [
+        (
+            span.name,
+            tuple(sorted(span.attributes.items())),
+            span.start_virtual_ms,
+            span.end_virtual_ms,
+        )
+        for span in t.tracer.spans()
+        if span.name == "fault"
+    ]
+    assert len(spans) == 513
+    assert hashlib.sha256(repr(spans).encode()).hexdigest() == DENSE_FAULT_SPANS_DIGEST

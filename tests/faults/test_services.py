@@ -27,11 +27,11 @@ from repro.faults.plan import (
     CORRUPT_DROP_LISTENER,
     CORRUPT_DUP_LISTENER,
     CORRUPT_STALE_COMPONENT,
+    SERVICE_OUTAGE_WINDOW_MS,
     FaultEvent,
     FaultKind,
     FaultPlan,
 )
-from repro.faults.services import SERVICE_OUTAGE_WINDOW_MS, ServiceFaultPlan
 
 PKG = "com.example.app"
 
@@ -71,7 +71,7 @@ def _oneshot_plan(kind, at_ms=5.0, param=""):
 
 class TestServiceFaultPlanProfile:
     def test_standalone_plan_arms_only_the_service_streams(self):
-        plan = ServiceFaultPlan(seed=4).plan()
+        plan = faults.compose_plan(service_fault_seed=4)
         armed = {kind for kind in FaultKind if plan.interval_for(kind) is not None}
         assert armed == {
             FaultKind.SERVICE_OUTAGE,
@@ -83,15 +83,12 @@ class TestServiceFaultPlanProfile:
         assert plan.seed == 4
 
     def test_apply_layers_onto_a_transport_plan(self):
-        base = FaultPlan(seed=9, binder_every_ms=1_000.0)
-        plan = ServiceFaultPlan(seed=4, outage_every_ms=50.0).apply(base)
-        assert plan.seed == 9  # the base's streams keep their seed
-        assert plan.binder_every_ms == 1_000.0
-        assert plan.service_outage_every_ms == 50.0
-        assert (
-            plan.service_corrupt_every_ms
-            == CHAOS_INTERVALS_MS[FaultKind.SERVICE_CORRUPT]
-        )
+        # The chaos base already arms the service streams at these rates,
+        # so the service seed changes nothing: the base keeps its seed.
+        base = faults.compose_plan(fault_seed=7)
+        assert base == FaultPlan.chaos(seed=7)
+        assert faults.compose_plan(fault_seed=7, service_fault_seed=5) == base
+        assert faults.compose_plan(fault_seed=7, service_fault_seed=99) == base
 
 
 class TestServiceOutage:
@@ -212,9 +209,12 @@ class TestSystemRestart:
 
 class TestDeterminism:
     def test_same_plan_same_manifestation_sequence(self):
-        plan = ServiceFaultPlan(
-            seed=21, outage_every_ms=5_000.0, corrupt_every_ms=7_000.0
-        ).plan()
+        plan = FaultPlan(
+            seed=21,
+            service_outage_every_ms=5_000.0,
+            service_corrupt_every_ms=7_000.0,
+            system_restart_every_ms=CHAOS_INTERVALS_MS[FaultKind.SYSTEM_RESTART],
+        )
 
         def run():
             device = _device()
