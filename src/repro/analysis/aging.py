@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.logparse import (
     AnrEvent,
@@ -36,6 +34,9 @@ from repro.analysis.logparse import (
     NativeSignalEvent,
     RebootEvent,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 #: Severity weights mirroring the system server's aging deposits.
 WEIGHT_FATAL = 1.0
@@ -73,6 +74,8 @@ def windowed_intensity(
     samples: Sequence[ErrorSample], window_ms: float = 10_000.0
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bucket the series into fixed windows → (window centres, total weight)."""
+    import numpy as np
+
     if window_ms <= 0:
         raise ValueError(f"window_ms must be positive, got {window_ms}")
     if not samples:
@@ -119,8 +122,9 @@ def mann_kendall_trend(
             is_aging=False,
             windows=len(centres),
         )
-    # scipy.stats is the package's heaviest import and this its only use:
-    # deferred here, it stays off every `repro` import (CLI, daemon, workers).
+    # numpy and scipy serve only these analytics: imported where they run,
+    # they stay off every other `repro` import (CLI, daemon, farm workers).
+    import numpy as np
     from scipy import stats
 
     tau, p_value = stats.kendalltau(centres, weights)
@@ -147,6 +151,8 @@ def damage_trajectory(
     system server tracks internally -- letting the analyst *see* the
     escalation that precedes a reboot.
     """
+    import numpy as np
+
     if not samples:
         return np.array([]), np.array([])
     decay = math.log(2.0) / half_life_ms

@@ -16,7 +16,6 @@ import json
 from typing import Dict, Optional
 
 from repro.analysis import figures, tables
-from repro.analysis.manifest import Manifestation
 
 SCHEMA_VERSION = 1
 

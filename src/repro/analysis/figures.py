@@ -8,16 +8,10 @@ benchmark harness print; nothing here re-reads logs.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.analysis.manifest import (
-    SECURITY_EXCEPTION,
-    ComponentRecord,
-    Manifestation,
-    StudyCollector,
-)
+from repro.analysis.manifest import Manifestation, StudyCollector
 from repro.analysis.rootcause import equal_blame
-from repro.android.component import ComponentKind
 from repro.android.package_manager import AppOrigin
 
 NO_EXCEPTION = "(no exception)"

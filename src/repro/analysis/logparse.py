@@ -46,10 +46,14 @@ _EXC_CLASS = r"(?:[a-z][\w]*\.)+[A-Z][\w$]*(?:Exception|Error)"
 _EXC_RE = re.compile(rf"(?P<cls>{_EXC_CLASS})(?:: (?P<msg>.*))?$")
 _FRAME_RE = re.compile(r"^\t?at (?P<cls>[\w.$]+)\.(?P<method>[\w<>$-]+)\((?P<loc>[^)]*)\)$")
 _ANR_RE = re.compile(r"^ANR in (?P<process>\S+) \((?P<component>[^)]+)\)$")
+#: The literal each of these two patterns is anchored on: a record whose
+#: message lacks it cannot match, so the parser tests it before the regex.
+_NATIVE_PREFIX = "Fatal signal "
 _NATIVE_RE = re.compile(
-    r"^Fatal signal (?P<number>\d+) \((?P<signal>\w+)\) in (?P<process>\S+)(?:: (?P<reason>.*))?$"
+    rf"^{_NATIVE_PREFIX}(?P<number>\d+) \((?P<signal>\w+)\) in (?P<process>\S+)(?:: (?P<reason>.*))?$"
 )
-_REBOOT_RE = re.compile(r"^!!! SYSTEM REBOOT: (?P<reason>.*) !!!$")
+_REBOOT_PREFIX = "!!! SYSTEM REBOOT: "
+_REBOOT_RE = re.compile(rf"^{_REBOOT_PREFIX}(?P<reason>.*) !!!$")
 _CMP_RE = re.compile(r"cmp=(?P<cmp>[\w.$]+/[\w.$]+)")
 _DENIAL_TARGET_RE = re.compile(r" to (?P<cmp>[\w.$]+/[\w.$]+)")
 
@@ -258,10 +262,10 @@ def _anr_block(records: Sequence[LogRecord], i: int, anr, events: List[LogEvent]
 
 def _single_record(record: LogRecord) -> Optional[LogEvent]:
     message = record.message
-    reboot = _REBOOT_RE.match(message)
+    reboot = message.startswith(_REBOOT_PREFIX) and _REBOOT_RE.match(message)
     if reboot:
         return RebootEvent(time_ms=int(record.time_ms), reason=reboot.group("reason"))
-    native = _NATIVE_RE.match(message)
+    native = message.startswith(_NATIVE_PREFIX) and _NATIVE_RE.match(message)
     if native:
         return NativeSignalEvent(
             time_ms=int(record.time_ms),

@@ -39,7 +39,7 @@ from repro.analysis.rootcause import (
     reboot_culprit_classes,
     reboot_window_events,
 )
-from repro.android.component import ComponentInfo, ComponentKind
+from repro.android.component import ComponentKind
 from repro.android.log import LogRecord
 from repro.android.package_manager import PackageInfo
 

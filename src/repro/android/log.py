@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, Iterable, Iterator, List, NamedTuple, Optional
+from typing import Deque, Iterator, List, NamedTuple, Optional
 
 from repro.android.clock import Clock
 from repro.android.jtypes import NativeSignal, Throwable

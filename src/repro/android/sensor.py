@@ -22,9 +22,8 @@ treats as reboot-grade damage.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.android.binder import IBinder
 from repro.android.jtypes import (
     DeadObjectException,
     IllegalArgumentException,

@@ -23,7 +23,7 @@ behaviour specs:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import List
 
 from repro.android.component import Activity, ComponentInfo, ComponentKind
 from repro.android.intent import ComponentName, Intent, launcher_filter
@@ -40,9 +40,6 @@ from repro.wear.complications import (
     EXTRA_PROVIDER_INFO,
     ComplicationProviderInfo,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.android.context import Context
 
 GOOGLE_FIT_PACKAGE = "com.google.android.apps.fitness"
 MOTOROLA_BODY_PACKAGE = "com.motorola.omega.body"

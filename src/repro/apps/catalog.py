@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.android.component import ComponentInfo, ComponentKind
 from repro.android.device import Device
-from repro.android.intent import ComponentName, IntentFilter, launcher_filter
+from repro.android.intent import ComponentName, launcher_filter
 from repro.android.package_manager import AppCategory, AppOrigin, PackageInfo
 from repro.apps import builtin as builtin_apps
 from repro.apps import health as health_apps
@@ -42,7 +42,6 @@ from repro.apps.behavior import (
 )
 from repro.apps.profiles import (
     ALL_QUIRK_TRIGGERS,
-    AMBIENT_CRASH_LOOP,
     CAMPAIGN_TRIGGERS,
     COMPONENTS_PER_CRASH_SLOT,
     EMULATOR_TOP_THIRD_PARTY,

@@ -42,7 +42,6 @@ from repro.faults.journal import CheckpointJournal, KillSwitch
 from repro.faults.plan import FaultPlan
 from repro.faults.plane import NOOP_PLANE, FaultPlane
 from repro.faults.retry import MAX_ATTEMPTS_CAP, RetryPolicy
-from repro.guided.engine import BlockOutcome, GuidedTask, run_guided_blocks
 from repro.qgj.campaigns import Campaign
 from repro.qgj.fuzzer import QGJ_MOBILE_PACKAGE, QGJ_WEAR_PACKAGE, FuzzConfig, FuzzerLibrary
 from repro.qgj.master import deploy
@@ -63,11 +62,12 @@ from repro.telemetry import (
 from repro.telemetry.progress import DEFAULT_EVERY_INJECTIONS
 from repro.wear.device import PhoneDevice, WearDevice, pair
 
-if TYPE_CHECKING:  # pragma: no cover - avoids the experiments<->farm cycle
+if TYPE_CHECKING:  # pragma: no cover - farm<->experiments cycle; guided loads on use
     from repro.apps.catalog import Corpus
     from repro.apps.profiles import DeviceProfile
     from repro.experiments.config import ExperimentConfig
     from repro.fleet.pairs import PairSpec, PairSummary
+    from repro.guided.engine import BlockOutcome, GuidedTask
 
 #: Backoff for the operator-side adb calls (log pull / clear between
 #: segments); injection-side retries are the fuzzer's own policy.  Adb drops
@@ -109,7 +109,7 @@ class ShardSpec:
     crash: Optional[CrashPolicy] = None
     #: One package's round slice for ``study == "guided"`` (blocks, pool,
     #: known fingerprints); ``None`` for the blind studies.
-    guided: Optional[GuidedTask] = None
+    guided: Optional["GuidedTask"] = None
     #: One lane's pair slice for ``study == "fleet"`` (see
     #: :mod:`repro.fleet`); ``None`` for the single-pair studies.
     fleet: Optional[Tuple["PairSpec", ...]] = None
@@ -135,7 +135,7 @@ class ShardResult:
     #: The worker-local profiler's snapshot (``None`` unless profiling).
     profile: Optional[dict] = None
     #: Block outcomes for a guided shard (``None`` for the blind studies).
-    guided: Optional[List[BlockOutcome]] = None
+    guided: Optional[List["BlockOutcome"]] = None
     #: Completed pair summaries for a fleet lane shard.
     fleet: Optional[List["PairSummary"]] = None
 
@@ -426,6 +426,8 @@ def _run_guided_shard(spec, handle, plane, runtime, kill_switch, heartbeat, cras
     preceded it on that worker.  Blocks classify dispatch outcomes
     directly, so the shard never pulls or clears the log.
     """
+    from repro.guided.engine import run_guided_blocks
+
     if spec.guided is None:
         raise ValueError("guided shard needs a GuidedTask on spec.guided")
     if spec.journal_path is not None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.android.component import ComponentInfo, ComponentKind
 from repro.qgj.campaigns import Campaign, FuzzIntent, campaign_size, generate

@@ -20,7 +20,6 @@ import dataclasses
 import json
 from typing import Dict, List, Optional
 
-from repro.android.component import ComponentKind
 from repro.android.package_manager import AppCategory, AppOrigin, PackageInfo
 from repro.qgj.campaigns import Campaign
 from repro.qgj.fuzzer import (

@@ -12,7 +12,7 @@ and the experiment progress reporting.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.android.component import ComponentKind
 from repro.qgj.campaigns import Campaign

@@ -25,7 +25,7 @@ reserves for campaigns.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.android.component import ComponentInfo, ComponentKind
 from repro.android.device import Device

@@ -27,7 +27,7 @@ import dataclasses
 import random
 import string
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.android.device import Device
 from repro.faults.retry import RetryPolicy

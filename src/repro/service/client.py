@@ -29,8 +29,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from typing import Dict, Optional, Tuple
 
 from repro.service.lock import WriterLock
@@ -95,6 +93,11 @@ class ServiceClient:
 
     # -- HTTP plumbing ------------------------------------------------------------
     def _request(self, path: str, body: Optional[bytes] = None):
+        # urllib.request also loads http.client, email and ssl: only a
+        # process that speaks HTTP to a daemon pays for them.
+        import urllib.error
+        import urllib.request
+
         base = self.base_url()
         if base is None:
             raise ConnectionError("no daemon HTTP endpoint published")

@@ -31,10 +31,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.faults.journal import CheckpointJournal
-from repro.guided.corpus import BehaviorCorpus
+
+if TYPE_CHECKING:  # pragma: no cover - guided loads only for guided studies
+    from repro.guided.corpus import BehaviorCorpus
 
 INDEX_VERSION = 1
 
@@ -209,12 +211,14 @@ class ResultStore:
         return stored
 
     # -- corpus accumulation ------------------------------------------------------
-    def corpus(self) -> BehaviorCorpus:
+    def corpus(self) -> "BehaviorCorpus":
+        from repro.guided.corpus import BehaviorCorpus
+
         if os.path.exists(self.corpus_path):
             return BehaviorCorpus.load(self.corpus_path)
         return BehaviorCorpus()
 
-    def merge_corpus(self, corpus: BehaviorCorpus) -> BehaviorCorpus:
+    def merge_corpus(self, corpus: "BehaviorCorpus") -> "BehaviorCorpus":
         """Fold *corpus* into the persistent one; returns the merged corpus.
 
         The merge is deterministic and order-independent, so re-merging
@@ -223,6 +227,8 @@ class ResultStore:
         """
         if not self.writer:
             raise RuntimeError(f"{self.root}: read-only store cannot merge_corpus")
+        from repro.guided.corpus import BehaviorCorpus
+
         merged = BehaviorCorpus.merge([self.corpus(), corpus])
         tmp_path = self.corpus_path + ".tmp"
         merged.save(tmp_path)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.faults.journal import CheckpointJournal
 

@@ -1,6 +1,5 @@
 """Tests for the software-aging analytics."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

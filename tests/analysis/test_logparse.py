@@ -1,8 +1,9 @@
 """Tests for the logcat event scan and the threadtime codec."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.analysis import logparse
 from repro.analysis.logparse import (
     AnrEvent,
     FatalExceptionEvent,
@@ -21,7 +22,7 @@ from repro.android.jtypes import (
     frame,
     sigabrt,
 )
-from repro.android.log import Level, LogRecord, Logcat
+from repro.android.log import TAG_ACTIVITY_MANAGER, Level, LogRecord, Logcat
 
 #: Every separator ``str.splitlines`` breaks on.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -55,6 +56,82 @@ arbitrary_records = st.builds(
     tag=st.text(max_size=30),
     message=st.text(max_size=120),
 )
+
+#: One line for each branch of ``_single_record``: native signals, reboot
+#: markers, permission denials, logged exceptions and lines that look like
+#: them but are not.
+_BRANCH_LINES = (
+    "Fatal signal 6 (SIGABRT) in /system/lib/libsensorservice.so: wedged",
+    "Fatal signal 11 (SIGSEGV) in a",
+    "Fatal signal x (SIGABRT) in a",
+    "!!! SYSTEM REBOOT: aging collapse !!!",
+    "!!! SYSTEM REBOOT:  !!!\n",
+    "!!! SYSTEM REBOOT: no marker end",
+    "java.lang.SecurityException: Permission Denial: starting Intent { cmp=com.a/.Main } from x",
+    "java.lang.SecurityException: Permission Denial: broadcasting X to com.a/.Svc",
+    "java.lang.IllegalArgumentException: rejected",
+    "java.lang.OutOfMemoryError",
+    "Caused by: java.lang.OutOfMemoryError",
+)
+
+#: Messages for ``_single_record``: a branch line or free text, bare or after
+#: one of the two anchored prefixes.
+single_record_messages = st.builds(
+    str.__add__,
+    st.sampled_from(["", "Fatal signal ", "!!! SYSTEM REBOOT: "]),
+    st.one_of(st.sampled_from(_BRANCH_LINES), st.text(max_size=60)),
+)
+
+#: Records for ``_single_record``: the messages above under the tags and
+#: levels its branches test.
+single_records = st.builds(
+    LogRecord,
+    time_ms=st.integers(min_value=0, max_value=_TIME_LIMIT_MS - 1).map(float),
+    pid=st.integers(min_value=0, max_value=2**15),
+    tid=st.integers(min_value=0, max_value=2**15),
+    level=st.sampled_from(Level),
+    tag=st.one_of(st.sampled_from([TAG_ACTIVITY_MANAGER, "AppTag", "libc"]), st.text(max_size=10)),
+    message=single_record_messages,
+)
+
+
+def _regex_first_record(record):
+    """``_single_record`` as it ran before the prefix guards: both anchored
+    patterns matched against every message.  The reference the guarded
+    parser must agree with."""
+    message = record.message
+    reboot = logparse._REBOOT_RE.match(message)
+    if reboot:
+        return RebootEvent(time_ms=int(record.time_ms), reason=reboot.group("reason"))
+    native = logparse._NATIVE_RE.match(message)
+    if native:
+        return NativeSignalEvent(
+            time_ms=int(record.time_ms),
+            signal=native.group("signal"),
+            number=int(native.group("number")),
+            process=native.group("process"),
+            reason=native.group("reason") or "",
+        )
+    if record.tag == TAG_ACTIVITY_MANAGER and "SecurityException: Permission Denial:" in message:
+        detail = message.split("Permission Denial:", 1)[1].strip()
+        cmp_match = logparse._CMP_RE.search(message) or logparse._DENIAL_TARGET_RE.search(detail)
+        return SecurityDenialEvent(
+            time_ms=int(record.time_ms),
+            detail=detail,
+            component=logparse.expand_component(cmp_match.group("cmp")) if cmp_match else None,
+        )
+    if record.level in (Level.WARN, Level.ERROR) and not message.startswith("Caused by"):
+        found = logparse._EXC_RE.search(message)
+        if found:
+            return HandledExceptionEvent(
+                time_ms=int(record.time_ms),
+                pid=record.pid,
+                tag=record.tag,
+                exception_class=found.group("cls"),
+                message=found.group("msg"),
+                frames=[],
+            )
+    return None
 
 
 @pytest.fixture()
@@ -118,6 +195,19 @@ class TestLineParsing:
     @settings(max_examples=100, deadline=None)
     def test_parser_total_on_records(self, records):
         parse_events(records)  # must never raise
+
+
+class TestPrefixGuards:
+    """``_single_record`` tests each anchored pattern's literal prefix
+    before running it; that must change no event."""
+
+    @given(st.one_of(single_records, arbitrary_records))
+    # A prefix whose pattern fails must fall through to the later branches.
+    @example(LogRecord(0.0, 9, 9, Level.WARN, "AppTag", "!!! SYSTEM REBOOT: java.lang.OutOfMemoryError"))
+    @example(LogRecord(0.0, 9, 9, Level.ERROR, "AppTag", "Fatal signal java.lang.IllegalStateException: x"))
+    @settings(max_examples=500, deadline=None)
+    def test_prefix_guards_match_regex_first_reference(self, record):
+        assert logparse._single_record(record) == _regex_first_record(record)
 
 
 class TestFatalBlocks(ReadPath):

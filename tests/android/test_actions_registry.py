@@ -2,7 +2,6 @@
 
 import hashlib
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.android.actions import (
