@@ -14,8 +14,6 @@ categories sit near 70% no-effect ("no clear indication that Health/Fitness
 apps ... are less robust than others").
 """
 
-import pytest
-
 from repro.analysis.report import render_table3
 from repro.analysis.tables import table3_behaviors
 

@@ -31,7 +31,10 @@ _COMPACT_MIN_QUEUE = 8
 class _ScheduledCall:
     deadline_ms: float
     seq: int
-    callback: Callable[[], None] = dataclasses.field(compare=False)
+    #: ``None`` once cancelled: a cancelled call never runs, and a callback
+    #: that holds its own handle (a self-re-arming timer) would otherwise
+    #: keep itself alive through the call.
+    callback: Optional[Callable[[], None]] = dataclasses.field(compare=False)
     cancelled: bool = dataclasses.field(default=False, compare=False)
 
 
@@ -101,6 +104,7 @@ class Clock:
         if call.cancelled:
             return
         call.cancelled = True
+        call.callback = None
         self._cancelled_count += 1
         # Long fleet runs arm and cancel watchdog timers constantly; once
         # dead entries dominate the heap, rebuild it so memory stays bounded
@@ -114,6 +118,14 @@ class Clock:
     def _compact(self) -> None:
         self._queue = [entry for entry in self._queue if not entry.cancelled]
         heapq.heapify(self._queue)
+        self._cancelled_count = 0
+
+    def cancel_all(self) -> None:
+        """Cancel every pending callback, running none and moving no time."""
+        for call in self._queue:
+            call.cancelled = True
+            call.callback = None
+        self._queue = []
         self._cancelled_count = 0
 
     def drain(self, horizon_ms: Optional[float] = None) -> None:
@@ -141,6 +153,7 @@ class ScheduledHandle:
             self._clock._cancel(self._call)
         else:
             self._call.cancelled = True
+            self._call.callback = None
 
     @property
     def cancelled(self) -> bool:

@@ -43,6 +43,9 @@ def _sensor_service_provider(device: "Device", package: str) -> SensorManager:
 class Device:
     """One simulated Android device (phone or, via subclass, wearable)."""
 
+    #: True once :meth:`shutdown` has run.
+    shut_down = False
+
     def __init__(
         self,
         name: str = "device",
@@ -146,6 +149,32 @@ class Device:
     def _after_reboot(self) -> None:
         """Subclass hook: restart device-family specific services."""
 
+    # -- end of life ----------------------------------------------------------------
+    def shutdown(self) -> None:
+        """Power the device off for good, silently.
+
+        Drops every back-reference the device's construction wired: each
+        process record's death recipients and queue, the live component
+        instances (and their contexts), the clock's pending callbacks, the
+        system server's link to the sensor service, and the device's own
+        references to its subsystems.  Once its owner lets go, reference
+        counting frees the whole tree at once instead of leaving it to the
+        cyclic collector.  Nothing runs: no log record, no app, service
+        or death-recipient callback, no clock advance, no telemetry.  The
+        device cannot be used again -- its subsystems are gone, so any later
+        call raises ``AttributeError`` -- and a second shutdown does nothing.
+        """
+        if self.shut_down:
+            return
+        self.processes.discard()
+        self.activity_manager.reset_runtime_state()
+        self.clock.cancel_all()
+        self.system_server.detach_sensor_service()
+        name = self.name
+        self.__dict__.clear()
+        self.name = name
+        self.shut_down = True
+
     # -- adb ------------------------------------------------------------------------
     @property
     def adb(self):
@@ -155,4 +184,6 @@ class Device:
         return Adb(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        if self.shut_down:
+            return f"<{type(self).__name__} {self.name} shut down>"
         return f"<Device {self.name} android={self.android_version} boots={self.boot_count}>"

@@ -120,6 +120,11 @@ class ProcessRecord:
         for recipient in recipients:
             recipient(self)
 
+    def discard(self) -> None:
+        """Let go of queued tasks and death recipients without running any."""
+        self._queue.clear()
+        self._death_recipients.clear()
+
     def kill(self, reason: str = "killed") -> None:
         """Forcibly terminate (``am force-stop`` / lmkd / crash cleanup)."""
         if not self.alive:
@@ -149,6 +154,10 @@ class ProcessRecord:
         try:
             task.run()
         except Throwable as thrown:
+            # The simulated Java stack is ``thrown.frames``.  Python's
+            # traceback holds this frame (this record, the task) and would
+            # close a loop through ``self.crashes``.
+            thrown.__traceback__ = None
             self.state = ProcessState.CRASHED
             self.crashes.append(
                 CrashInfo(
@@ -279,4 +288,14 @@ class ProcessTable:
         for proc in self._processes.values():
             if proc.alive:
                 proc.kill("reboot")
+        self._processes.clear()
+
+    def discard(self) -> None:
+        """Drop every process record silently (device shutdown).
+
+        Unlike :meth:`clear` nothing is killed, so no death recipient runs:
+        each record only lets go of its recipients and its queue.
+        """
+        for proc in self._processes.values():
+            proc.discard()
         self._processes.clear()

@@ -89,7 +89,7 @@ class SensorService:
         self._runtime = runtime
         self._clock = clock
 
-    def attach_system_server(self, system_server: "SystemServer") -> None:
+    def attach_system_server(self, system_server: Optional["SystemServer"]) -> None:
         self._system_server = system_server
 
     # -- service side -----------------------------------------------------------

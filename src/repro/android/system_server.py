@@ -138,6 +138,12 @@ class SystemServer:
         self._sensor_service = sensor_service
         sensor_service.attach_system_server(self)
 
+    def detach_sensor_service(self) -> None:
+        """Undo :meth:`attach_sensor_service` (device shutdown)."""
+        if self._sensor_service is not None:
+            self._sensor_service.attach_system_server(None)
+            self._sensor_service = None
+
     def register_ambient_binder(self, package: str) -> None:
         """Mark *package* as one whose activities bind the Ambient service."""
         self._ambient_binders.add(package)

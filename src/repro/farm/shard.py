@@ -373,25 +373,28 @@ def _run_blind_shard(spec, handle, plane, runtime, kill_switch, heartbeat, crash
             return record
     corpus, fuzzer = build_rig(spec.config, spec.study, runtime, kill_switch)
     device = fuzzer.device
-    collector = StudyCollector(corpus.packages())
-    summary = FuzzSummary(device=device.name)
-    if journal is not None:
-        journal.start(header)
-    _adb_call(device.adb.logcat_clear, device.clock, plane, handle, key=("clear", -1))
-    segments = [(p, c) for p in spec.packages for c in spec.campaigns]
-    with _study_span(spec, handle, device.clock, heartbeat):
-        for index, (package_name, campaign) in enumerate(segments):
-            crash(index)
-            summary.apps.append(
-                run_segment(
-                    fuzzer, collector, package_name, campaign, config.fuzz, plane, handle, index
+    try:
+        collector = StudyCollector(corpus.packages())
+        summary = FuzzSummary(device=device.name)
+        if journal is not None:
+            journal.start(header)
+        _adb_call(device.adb.logcat_clear, device.clock, plane, handle, key=("clear", -1))
+        segments = [(p, c) for p in spec.packages for c in spec.campaigns]
+        with _study_span(spec, handle, device.clock, heartbeat):
+            for index, (package_name, campaign) in enumerate(segments):
+                crash(index)
+                summary.apps.append(
+                    run_segment(
+                        fuzzer, collector, package_name, campaign, config.fuzz, plane, handle, index
+                    )
                 )
-            )
-            _beat(heartbeat)
-    result = ShardResult(spec.index, spec.key, device.clock.now_ms(), summary, collector)
-    if journal is not None:
-        journal.save_state(result)
-    return result
+                _beat(heartbeat)
+        result = ShardResult(spec.index, spec.key, device.clock.now_ms(), summary, collector)
+        if journal is not None:
+            journal.save_state(result)
+        return result
+    finally:
+        device.shutdown()
 
 
 def _check_record(journal: CheckpointJournal, record, header) -> None:
@@ -434,11 +437,14 @@ def _run_guided_shard(spec, handle, plane, runtime, kill_switch, heartbeat, cras
         raise ValueError("the guided study does not support checkpoint journals")
     _, fuzzer = build_rig(spec.config, "wear", runtime, kill_switch)
     watch = fuzzer.device
-    crash(0)
-    with _study_span(spec, handle, watch.clock, heartbeat):
-        outcomes = run_guided_blocks(fuzzer, spec.guided, spec.config.fuzz)
-    _beat(heartbeat)
-    return ShardResult(spec.index, spec.key, watch.clock.now_ms(), guided=outcomes)
+    try:
+        crash(0)
+        with _study_span(spec, handle, watch.clock, heartbeat):
+            outcomes = run_guided_blocks(fuzzer, spec.guided, spec.config.fuzz)
+        _beat(heartbeat)
+        return ShardResult(spec.index, spec.key, watch.clock.now_ms(), guided=outcomes)
+    finally:
+        watch.shutdown()
 
 
 def _run_fleet_shard(spec, handle, plane, runtime, kill_switch, heartbeat, crash) -> ShardResult:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
 
-from repro.android.clock import Clock
+from repro.android.clock import Clock, ScheduledHandle
 from repro.android.runtime import RuntimeContext
 from repro.apps.catalog import Corpus
 from repro.apps.profiles import BATTERY_LOW_PCT, FLEET_COHORTS, DeviceProfile
@@ -115,8 +115,8 @@ def _battery_end_pct(profile: DeviceProfile, clock_ms: float) -> int:
     return max(0, round(profile.battery_start_pct - drained))
 
 
-def _arm_power_model(watch: WearDevice, profile: DeviceProfile) -> None:
-    """Schedule the cohort's ambient duty cycle and low-battery park.
+class _PowerModel:
+    """The cohort's ambient duty cycle and low-battery park.
 
     Both run as clock callbacks, so they fire whenever the scheduler (or a
     blocking trampoline) advances this pair's clock -- the display state an
@@ -124,43 +124,50 @@ def _arm_power_model(watch: WearDevice, profile: DeviceProfile) -> None:
     Once the battery model crosses the low-water mark the watch parks in
     ambient mode and the duty cycle's pending toggle is cancelled (the
     compaction path in :class:`~repro.android.clock.Clock` exists for
-    exactly this kind of armed-then-abandoned timer).
+    exactly this kind of armed-then-abandoned timer).  The model lives only
+    in the clock's queue: the callbacks are bound methods, not closures
+    that reach themselves, so cancelling them frees it.
     """
-    state = {"parked": False, "handle": None}
-    ambient = watch.ambient
-    clock = watch.clock
 
-    def toggle() -> None:
-        if state["parked"]:
+    def __init__(self, watch: WearDevice, profile: DeviceProfile) -> None:
+        self._watch = watch
+        self._profile = profile
+        self._parked = False
+        self._handle: Optional[ScheduledHandle] = None
+        clock = watch.clock
+        if profile.ambient_cycle_ms is not None:
+            self._handle = clock.call_after(profile.ambient_cycle_ms / 2.0, self._toggle)
+        drain = profile.battery_drain_pct_per_hour
+        if drain > 0 and profile.battery_start_pct > BATTERY_LOW_PCT:
+            low_at_ms = (
+                (profile.battery_start_pct - BATTERY_LOW_PCT) / drain * 3_600_000.0
+            )
+            clock.call_at(low_at_ms, self._park)
+
+    def _toggle(self) -> None:
+        if self._parked:
             return
+        ambient = self._watch.ambient
         if ambient.state is DisplayState.AMBIENT:
             ambient.exit_ambient()
         else:
             ambient.enter_ambient()
-        assert profile.ambient_cycle_ms is not None
-        state["handle"] = clock.call_after(profile.ambient_cycle_ms / 2.0, toggle)
-
-    if profile.ambient_cycle_ms is not None:
-        state["handle"] = clock.call_after(profile.ambient_cycle_ms / 2.0, toggle)
-
-    drain = profile.battery_drain_pct_per_hour
-    if drain > 0 and profile.battery_start_pct > BATTERY_LOW_PCT:
-        low_at_ms = (
-            (profile.battery_start_pct - BATTERY_LOW_PCT) / drain * 3_600_000.0
+        assert self._profile.ambient_cycle_ms is not None
+        self._handle = self._watch.clock.call_after(
+            self._profile.ambient_cycle_ms / 2.0, self._toggle
         )
 
-        def park() -> None:
-            state["parked"] = True
-            if state["handle"] is not None:
-                state["handle"].cancel()
-            watch.logcat.w(
-                "BatteryService",
-                f"battery low ({BATTERY_LOW_PCT}%), parking display in ambient",
-            )
-            if ambient.state is not DisplayState.AMBIENT:
-                ambient.enter_ambient()
-
-        clock.call_at(low_at_ms, park)
+    def _park(self) -> None:
+        self._parked = True
+        if self._handle is not None:
+            self._handle.cancel()
+        self._watch.logcat.w(
+            "BatteryService",
+            f"battery low ({BATTERY_LOW_PCT}%), parking display in ambient",
+        )
+        ambient = self._watch.ambient
+        if ambient.state is not DisplayState.AMBIENT:
+            ambient.enter_ambient()
 
 
 def _guided_pair_rounds(
@@ -268,7 +275,9 @@ def pair_task(
     advance a pair's time between resumptions).  *telemetry_handle* scopes
     the pair's device tree to the lane's handle -- in a worker process the
     global fallback would be a disabled handle and every device-level
-    counter would silently vanish from the merged registry.
+    counter would silently vanish from the merged registry.  However the
+    task ends (returned, raised or closed), it shuts down both devices, so
+    reference counting frees the pair's tree at once.
     """
     profile = spec.profile()
     plane = (
@@ -282,7 +291,18 @@ def pair_task(
         profile=profile, pair_id=spec.pair_id, clock=clock,
     )
     watch = fuzzer.device
-    _arm_power_model(watch, profile)
+    _PowerModel(watch, profile)  # armed: the watch's clock queue holds it
+    try:
+        return (yield from _fuzz_pair(spec, fuzzer, profile))
+    finally:
+        watch.shutdown()
+
+
+def _fuzz_pair(
+    spec: PairSpec, fuzzer: FuzzerLibrary, profile: DeviceProfile
+) -> Generator[float, None, PairSummary]:
+    """:func:`pair_task`'s body on a built bed: fuzz, then summarise."""
+    watch = fuzzer.device
     sent = delivered = crashes = anrs = not_found = 0
     security = transport = compat = retries = quarantined = 0
     for package_name in spec.packages:

@@ -67,6 +67,11 @@ class PhoneDevice(Device):
         self.register_system_service("wearable_message", _message_client_provider)
         self.register_system_service("wearable_data", _data_client_provider)
 
+    def shutdown(self) -> None:
+        if not self.shut_down:
+            self.node.detach()
+        super().shutdown()
+
 
 class WearDevice(Device):
     """An Android Wear 2.0 smartwatch (Moto 360 class) or Watch emulator."""
@@ -95,12 +100,24 @@ class WearDevice(Device):
         self.register_system_service("complications", _complications_provider)
         self.register_system_service("wearable_message", _message_client_provider)
         self.register_system_service("wearable_data", _data_client_provider)
+        #: The phone :func:`pair` linked this watch to; shut down with it.
+        self.paired_phone: Optional[PhoneDevice] = None
 
     def _after_reboot(self) -> None:
         self.ambient.reset()
         self.fit_service.reset()
 
+    def shutdown(self) -> None:
+        """Shut down this watch and the phone :func:`pair` linked it to."""
+        if not self.shut_down:
+            if self.paired_phone is not None:
+                self.paired_phone.shutdown()
+            self.node.detach()
+        super().shutdown()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        if self.shut_down:
+            return super().__repr__()
         flavour = "emulator" if self.is_emulator else self.model
         return f"<WearDevice {self.name} ({flavour}, AW {self.wear_version}) boots={self.boot_count}>"
 
@@ -126,6 +143,7 @@ def pair(
         if plane.armed:
             compat = plane.plan.compat
     link = BluetoothLink(phone.node, watch.node, latency_ms=latency_ms, compat=compat)
+    watch.paired_phone = phone
     phone.logcat.i("WearableService", f"paired with {watch.node.node_id}")
     watch.logcat.i("WearableService", f"paired with {phone.node.node_id}")
     if compat is not None and compat.skew > 0:

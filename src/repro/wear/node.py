@@ -116,6 +116,18 @@ class WearableNode:
     def data_items(self) -> List[DataItem]:
         return sorted(self._data_items.values(), key=lambda item: item.path)
 
+    def detach(self) -> None:
+        """Drop every listener and this node's link (device shutdown).
+
+        The link is left disconnected, so a peer still running sees a
+        powered-off node rather than delivering into a dead one.
+        """
+        self._message_listeners.clear()
+        self._data_listeners.clear()
+        if self.link is not None:
+            self.link.disconnect()
+            self.link = None
+
 
 class BluetoothLink:
     """A point-to-point link between a phone node and a watch node."""

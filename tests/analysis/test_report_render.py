@@ -1,7 +1,5 @@
 """Tests for the ASCII report renderers (edge cases and formatting)."""
 
-import pytest
-
 from repro.analysis import report
 from repro.analysis.figures import NO_EXCEPTION
 from repro.analysis.manifest import StudyCollector

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.android.activity_manager import DispatchResult
 from repro.android.component import (
     Activity,
     ActivityState,
@@ -13,13 +12,12 @@ from repro.android.component import (
 )
 from repro.android.context import Context
 from repro.android.device import Device
-from repro.android.intent import ComponentName, Intent, IntentFilter, launcher_filter
+from repro.android.intent import ComponentName, Intent, launcher_filter
 from repro.android.jtypes import (
     ActivityNotFoundException,
     IllegalStateException,
     NullPointerException,
     SecurityException,
-    Throwable,
 )
 from repro.android.package_manager import AppCategory, AppOrigin, PackageInfo
 
@@ -366,6 +364,33 @@ class TestFailureContainment:
         assert "FATAL EXCEPTION: main" in text
         assert "has died" in text
         assert device.processes.get("com.example.app") is None
+
+    def test_crash_keeps_java_frames_not_python_traceback(self):
+        # The simulated Java stack is the record; Python's traceback would
+        # hold the dispatch frames and close a reference cycle.
+        device = self._install_with_behavior("crash", _CrashingActivity)
+        intent = Intent("a").set_class_name("com.example.app", "com.example.app.MainActivity")
+        result = device.activity_manager.start_activity("com.qgj", intent)
+        (crash,) = [info for proc in device.processes.all_processes() for info in proc.crashes]
+        assert crash.throwable is result.throwable
+        assert result.throwable.__traceback__ is None
+        fatal = [r.message for r in device.adb.logcat_records() if r.tag == "AndroidRuntime"]
+        assert fatal[:3] == [
+            "FATAL EXCEPTION: main",
+            "Process: com.example.app, PID: 1002",
+            "java.lang.NullPointerException: Attempt to read from null object",
+        ]
+        assert fatal[3:] == [f"\t{frame}" for frame in result.throwable.frames]
+        assert [f"{f.class_name}.{f.method}:{f.line}" for f in result.throwable.frames] == [
+            "com.example.app.MainActivity.handleIntent:1",
+            "android.app.ActivityThread.performLaunchActivity:2817",
+            "android.app.ActivityThread.handleLaunchActivity:2892",
+            "android.app.ActivityThread.-wrap11:1",
+            "android.app.ActivityThread$H.handleMessage:1593",
+            "android.os.Handler.dispatchMessage:105",
+            "android.os.Looper.loop:164",
+            "android.app.ActivityThread.main:6541",
+        ]
 
     def test_crash_clears_foreground(self):
         device = self._install_with_behavior("crash", _CrashingActivity)

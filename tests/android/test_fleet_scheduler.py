@@ -8,6 +8,8 @@ a long fleet run).  Both are pinned here, alongside the scheduler's
 earliest-deadline-first semantics.
 """
 
+import weakref
+
 import pytest
 
 from repro.android.clock import _COMPACT_MIN_QUEUE, Clock, FleetScheduler
@@ -122,6 +124,33 @@ class TestCancellation:
         clock.advance_to(100.0)
         assert fired == []
         assert clock.pending_count() == 0
+
+    def test_cancel_releases_the_callback(self):
+        # A timer that keeps its own handle (the ambient duty cycle's shape)
+        # is freed once cancelled, though the clock and the handle live on.
+        class Timer:
+            def fire(self):
+                pass
+
+        clock = Clock()
+        timer = Timer()
+        timer.handle = handle = clock.call_at(5.0, timer.fire)
+        ref = weakref.ref(timer)
+        del timer
+        handle.cancel()
+        assert ref() is None
+
+    def test_cancel_all_runs_nothing_and_releases_every_callback(self):
+        clock = Clock()
+        fired = []
+        handles = [clock.call_at(10.0 * i, lambda i=i: fired.append(i)) for i in range(12)]
+        clock.advance_to(25.0)
+        clock.cancel_all()
+        assert clock.now_ms() == 25.0
+        assert clock.pending_count() == clock.cancelled_count() == 0
+        assert all(handle.cancelled for handle in handles[3:])
+        clock.advance_to(1_000.0)
+        assert fired == [0, 1, 2]
 
 
 def _ticker(key, clock, deadlines, trace):

@@ -1,7 +1,5 @@
 """Edge-case tests rounding out the substrate's smaller surfaces."""
 
-import pytest
-
 from repro.android.clock import Clock
 from repro.android.component import describe_components, ComponentInfo, ComponentKind
 from repro.android.device import Device

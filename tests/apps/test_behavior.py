@@ -8,7 +8,6 @@ from repro.android.device import Device
 from repro.android.context import Context
 from repro.android.intent import ComponentName, Intent
 from repro.android.jtypes import (
-    IllegalArgumentException,
     NullPointerException,
     RuntimeException,
 )

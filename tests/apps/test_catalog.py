@@ -25,7 +25,7 @@ from repro.apps.profiles import (
     WEAR_POPULATION,
     allocate_by_mix,
 )
-from repro.android.package_manager import AppCategory, AppOrigin
+from repro.android.package_manager import AppOrigin
 
 
 class TestAllocateByMix:

@@ -16,7 +16,7 @@ from repro.apps.profiles import (
     parse_cohort_spec,
     profile_for_pair,
 )
-from repro.experiments.config import QUICK, ExperimentConfig
+from repro.experiments.config import ExperimentConfig
 from repro.farm import merge_fleet, resolve_workers
 from repro.faults.plan import FaultPlan
 from repro.fleet import (

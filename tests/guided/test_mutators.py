@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.android.actions import ALL_ACTIONS, URI_SAMPLES
 from repro.guided.mutators import MUTATION_OPS, mutate_intent
 from repro.qgj.campaigns import FuzzIntent

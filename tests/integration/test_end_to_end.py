@@ -15,7 +15,6 @@ from repro.experiments.config import QUICK, ExperimentConfig
 from repro.experiments.phone_experiment import run_phone_study
 from repro.experiments.ui_experiment import run_ui_study
 from repro.experiments.wear_experiment import run_wear_study
-from repro.qgj.campaigns import Campaign
 from repro.qgj.fuzzer import FuzzConfig
 
 FOCUS_PACKAGES = (

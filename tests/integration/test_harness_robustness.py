@@ -7,14 +7,12 @@ records and text -- and assert the harness responds with modelled outcomes
 (Java-style throwables, error results) rather than Python-level failures.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.logparse import parse_events, parse_lines
 from repro.analysis.manifest import StudyCollector
 from repro.android.component import ComponentKind
-from repro.android.device import Device
-from repro.android.intent import ComponentName, Intent
+from repro.android.intent import Intent
 from repro.android.jtypes import Throwable
 from repro.android.log import Level, LogRecord
 from repro.apps.catalog import build_wear_corpus

@@ -1,7 +1,6 @@
 """Property tests for FuzzIntent construction and the triage reproducers."""
 
 import random
-import shlex
 
 import pytest
 from hypothesis import given, settings, strategies as st

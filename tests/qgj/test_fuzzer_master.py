@@ -9,7 +9,6 @@ from repro.qgj.fuzzer import (
     QGJ_WEAR_PACKAGE,
     FuzzConfig,
     FuzzerLibrary,
-    QUICK_CONFIG,
 )
 from repro.qgj.master import deploy
 from repro.wear.device import PhoneDevice, WearDevice, pair

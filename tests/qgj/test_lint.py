@@ -8,7 +8,6 @@ from repro.android.intent import ComponentName, IntentFilter, launcher_filter
 from repro.android.package_manager import AppCategory, AppOrigin, PackageInfo
 from repro.apps.catalog import build_wear_corpus
 from repro.qgj.lint import (
-    LintFinding,
     Severity,
     correlate,
     lint_device,

@@ -11,7 +11,6 @@ from repro.qgj.master import (
     PATH_START_FUZZ,
     PATH_SUMMARY,
     QGJMobile,
-    QGJWear,
     deploy,
 )
 from repro.wear.device import PhoneDevice, WearDevice, pair

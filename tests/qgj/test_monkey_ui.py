@@ -10,7 +10,6 @@ from repro.experiments.config import QUICK
 from repro.experiments.ui_experiment import run_ui_study
 from repro.qgj.monkey import (
     EVENT_KINDS,
-    EVENT_SCHEMAS,
     Monkey,
     MonkeyEvent,
     format_event,

@@ -8,7 +8,6 @@ from repro.qgj.campaigns import Campaign, FuzzIntent
 from repro.qgj.fuzzer import FuzzConfig
 from repro.qgj.triage import (
     CrashProber,
-    CrashSignature,
     minimize_intent,
     triage_app,
 )
@@ -97,8 +96,6 @@ class TestMinimisation:
         # of data is essential, so minimisation must not add anything and
         # must keep the action (dropping it changes the trigger).
         package = watch.packages.get_package("com.motorola.omega.body")
-        from repro.apps.behavior import Outcome
-
         corpus_info = next(
             c
             for c in package.components

@@ -18,7 +18,6 @@ from repro.experiments import wear_experiment
 from repro.faults.errors import CampaignKilled
 from repro.service import ServiceDaemon, SimulatedCrash, StudySpec
 from repro.service.daemon import CrashPoint, EXIT_DRAINED, EXIT_IDLE, RootLockedError
-from repro.service.lock import WriterLock
 from repro.service.wal import DONE, POISONED
 
 PKG = "com.pulsetrack.wear"

@@ -2,8 +2,6 @@
 
 import pickle
 
-import pytest
-
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.record import (
     BucketIndexTable,

@@ -212,7 +212,6 @@ class TestLeafFastPath:
         from repro.qgj.campaigns import Campaign
         from repro.qgj.fuzzer import FuzzConfig, FuzzerLibrary
         from repro.wear.device import WearDevice
-        import repro.telemetry as telemetry_pkg
 
         corpus = build_wear_corpus(seed=2018)
         watch = WearDevice("leaf-evict")

@@ -48,7 +48,6 @@ class TestPublisher:
         publisher.publish()
         # Crash the wear app with a campaign-B blank intent at its NPE
         # component (behaviour defined in the corpus).
-        from repro.android.intent import Intent
         from repro.qgj.fuzzer import FuzzerLibrary
 
         fuzzer = FuzzerLibrary(watch)
