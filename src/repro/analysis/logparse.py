@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.android.log import TAG_ACTIVITY_MANAGER, TAG_RUNTIME, Level, LogRecord
 
@@ -168,39 +168,48 @@ def parse_lines(text: str) -> Iterator[LogRecord]:
         )
 
 
-def parse_events(records: Iterable[LogRecord]) -> List[LogEvent]:
-    """Extract the full event stream from logcat records in one scan.
+def iter_events(records: Iterable[LogRecord]) -> Iterator[LogEvent]:
+    """Extract the event stream from logcat records in one scan, lazily.
 
     A block -- a FATAL EXCEPTION block, an ANR block, or a handled exception
-    with its ``at`` frames -- is read where it starts and consumed whole.
-    Event times are whole milliseconds, the resolution of the text grammar.
+    with its ``at`` frames -- is read where it starts and yielded whole, so
+    a consumer holds only the events it keeps.  Event times are whole
+    milliseconds, the resolution of the text grammar.
     """
     records = tuple(records)
-    events: List[LogEvent] = []
     i, end = 0, len(records)
     while i < end:
         record = records[i]
         if record.tag == TAG_RUNTIME and record.message == _FATAL_HEADER:
-            i = _fatal_block(records, i, events)
+            fatal, i = _fatal_block(records, i)
+            if fatal is not None:
+                yield fatal
             continue
         if record.tag == TAG_ACTIVITY_MANAGER:
             anr = _ANR_RE.match(record.message)
             if anr is not None:
-                i = _anr_block(records, i, anr, events)
+                event, i = _anr_block(records, i, anr)
+                yield event
                 continue
         i += 1
         event = _single_record(record)
         if event is not None:
-            events.append(event)
             if type(event) is HandledExceptionEvent:
                 i = attach_handled_frames(records, i, event)
-    return events
+            yield event
+
+
+def parse_events(records: Iterable[LogRecord]) -> List[LogEvent]:
+    """The whole event stream of *records* as a list (see :func:`iter_events`)."""
+    return list(iter_events(records))
 
 
 # -- block scanners -----------------------------------------------------------
 
 
-def _fatal_block(records: Sequence[LogRecord], i: int, events: List[LogEvent]) -> int:
+def _fatal_block(
+    records: Sequence[LogRecord], i: int
+) -> Tuple[Optional[FatalExceptionEvent], int]:
     head = records[i]
     process, pid = "", head.pid
     chain: List[str] = []
@@ -228,36 +237,33 @@ def _fatal_block(records: Sequence[LogRecord], i: int, events: List[LogEvent]) -
                     chain.append(exc.group("cls"))
                     messages.append(exc.group("msg") or "")
         j += 1
-    if chain:
-        events.append(
-            FatalExceptionEvent(
-                time_ms=int(head.time_ms),
-                process=process,
-                pid=pid,
-                exception_chain=chain,
-                messages=messages,
-                frames=frames,
-            )
-        )
-    return j
+    if not chain:
+        return None, j
+    fatal = FatalExceptionEvent(
+        time_ms=int(head.time_ms),
+        process=process,
+        pid=pid,
+        exception_chain=chain,
+        messages=messages,
+        frames=frames,
+    )
+    return fatal, j
 
 
-def _anr_block(records: Sequence[LogRecord], i: int, anr, events: List[LogEvent]) -> int:
+def _anr_block(records: Sequence[LogRecord], i: int, anr) -> Tuple[AnrEvent, int]:
     reason = ""
     j = i + 1
     while j < len(records) and records[j].tag == TAG_ACTIVITY_MANAGER and j - i < 4:
         if records[j].message.startswith("Reason: "):
             reason = records[j].message[len("Reason: "):]
         j += 1
-    events.append(
-        AnrEvent(
-            time_ms=int(records[i].time_ms),
-            process=anr.group("process"),
-            component=anr.group("component"),
-            reason=reason,
-        )
+    event = AnrEvent(
+        time_ms=int(records[i].time_ms),
+        process=anr.group("process"),
+        component=anr.group("component"),
+        reason=reason,
     )
-    return j
+    return event, j
 
 
 def _single_record(record: LogRecord) -> Optional[LogEvent]:

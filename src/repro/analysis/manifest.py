@@ -30,7 +30,7 @@ from repro.analysis.logparse import (
     RebootEvent,
     SecurityDenialEvent,
     expand_component,
-    parse_events,
+    iter_events,
 )
 from repro.analysis.rootcause import (
     app_frame,
@@ -85,6 +85,19 @@ class ComponentRecord:
     @property
     def crash_count(self) -> int:
         return sum(self.fatal_root_classes.values())
+
+    def saw_evidence(self) -> bool:
+        """Whether any segment left evidence here; a row without any is
+        exactly the row a fresh collector starts with."""
+        return bool(
+            self.fatal_root_classes
+            or self.fatal_outer_classes
+            or self.handled_classes
+            or self.anr_count
+            or self.anr_cause_classes
+            or self.security_denials
+            or self.reboot_involved
+        )
 
     def manifestation(self) -> Manifestation:
         if self.reboot_involved:
@@ -149,29 +162,33 @@ class StudyCollector:
         self.segments_folded = 0
 
     @classmethod
-    def merge(cls, collectors: Sequence["StudyCollector"]) -> "StudyCollector":
+    def merge(
+        cls, collectors: Sequence["StudyCollector"], packages: Sequence[PackageInfo]
+    ) -> "StudyCollector":
         """Combine per-shard collectors into one study-wide collector.
 
-        Every shard registers the *full* corpus universe (so untouched
-        components stay classified No Effect exactly once); the merge
-        therefore requires identical component universes, sums the
-        per-component evidence counters, ORs reboot involvement, and
-        concatenates reboot post-mortems in shard order.  Two shards
-        classifying the same ``(package, campaign)`` segment is a
-        partitioning bug and is rejected, as is an empty merge.
+        The study owns the component universe: the merged collector is
+        seeded from *packages* (the study corpus), so a component no shard
+        saw evidence for is classified No Effect exactly once, in corpus
+        order.  A shard ships only its rows with evidence
+        (:meth:`evidence`); a row outside the universe is rejected.  The
+        merge sums the per-component evidence counters, ORs reboot
+        involvement, and concatenates reboot post-mortems in shard order.
+        Two shards classifying the same ``(package, campaign)`` segment is
+        a partitioning bug and is rejected, as is an empty merge.
         """
         collectors = list(collectors)
         if not collectors:
             raise ValueError("nothing to merge: no collectors")
-        first = collectors[0]
-        merged = cls(list(first._package_meta.values()))
+        merged = cls(packages)
         for collector in collectors:
-            if set(collector._components) != set(merged._components):
-                raise ValueError(
-                    "cannot merge collectors with different component universes"
-                )
             for flat, record in collector._components.items():
-                target = merged._components[flat]
+                target = merged._components.get(flat)
+                if target is None:
+                    raise ValueError(
+                        f"cannot merge a row for {flat}: it is outside the "
+                        "study's component universe"
+                    )
                 target.fatal_root_classes.update(record.fatal_root_classes)
                 target.fatal_outer_classes.update(record.fatal_outer_classes)
                 target.handled_classes.update(record.handled_classes)
@@ -190,6 +207,20 @@ class StudyCollector:
             merged.segments_folded += collector.segments_folded
         return merged
 
+    def evidence(self) -> "StudyCollector":
+        """This collector as a shard ships it home: only the rows that saw
+        evidence, and no package metadata, which :meth:`merge` takes from
+        the study corpus.  Folding needs the full universe, because a frame
+        can name a component of another installed package."""
+        shipped = StudyCollector(())
+        shipped._components = {
+            flat: record for flat, record in self._components.items() if record.saw_evidence()
+        }
+        shipped.app_campaign = self.app_campaign
+        shipped.reboots = self.reboots
+        shipped.segments_folded = self.segments_folded
+        return shipped
+
     # -- metadata ------------------------------------------------------------------
     def package_meta(self, package: str) -> Optional[PackageInfo]:
         return self._package_meta.get(package)
@@ -202,8 +233,21 @@ class StudyCollector:
 
     # -- folding -----------------------------------------------------------------
     def fold(self, records: Iterable[LogRecord], package: str, campaign: str) -> None:
-        """Fold one (app, campaign) segment's log records into the study state."""
-        events = parse_events(records)
+        """Fold one (app, campaign) segment's log records into the study state.
+
+        The events stream in.  A permission denial is counted as it is
+        parsed and dropped; the other events are kept, because reboot
+        windows and ANR attribution read back over them.
+        """
+        events: List[LogEvent] = []
+        for event in iter_events(records):
+            if type(event) is SecurityDenialEvent:
+                if event.component is not None:
+                    record = self._components.get(event.component)
+                    if record is not None:
+                        record.security_denials += 1
+            else:
+                events.append(event)
         self.segments_folded += 1
         severity = self.app_campaign.get((package, campaign), Manifestation.NO_EFFECT)
         # attribute_anr reads only handled exceptions: collect them once,
@@ -229,11 +273,6 @@ class StudyCollector:
                 record = self._attribute_frames(event.frames, fallback_package=None)
                 if record is not None and event.exception_class != SECURITY_EXCEPTION:
                     record.handled_classes[event.exception_class] += 1
-            elif isinstance(event, SecurityDenialEvent):
-                if event.component is not None:
-                    record = self._components.get(event.component)
-                    if record is not None:
-                        record.security_denials += 1
             elif isinstance(event, RebootEvent):
                 severity = max(severity, Manifestation.REBOOT)
                 self._fold_reboot(event, events, package, campaign)

@@ -68,25 +68,28 @@ def ablate_aging_threshold(
     for threshold in thresholds:
         _, fuzzer = build_rig(QUICK)
         watch = fuzzer.device
-        # Read only when damage is checked, so setting it after boot is exact.
-        watch.system_server.reboot_threshold = threshold
-        crashes = 0
-        for package, campaign in (
-            (HEART_RATE_PACKAGE, Campaign.A),
-            (AMBIENT_BINDER_PACKAGE, Campaign.D),
-        ):
-            result = fuzzer.fuzz_app(
-                package, campaign, FuzzConfig(strides=_QUICK_STRIDES)
+        try:
+            # Read only when damage is checked, so setting it after boot is exact.
+            watch.system_server.reboot_threshold = threshold
+            crashes = 0
+            for package, campaign in (
+                (HEART_RATE_PACKAGE, Campaign.A),
+                (AMBIENT_BINDER_PACKAGE, Campaign.D),
+            ):
+                result = fuzzer.fuzz_app(
+                    package, campaign, FuzzConfig(strides=_QUICK_STRIDES)
+                )
+                crashes += result.crashes_seen
+            rows.append(
+                AblationRow(
+                    parameter="reboot_threshold",
+                    value=threshold,
+                    reboots=watch.boot_count - 1,
+                    crashes_seen=crashes,
+                )
             )
-            crashes += result.crashes_seen
-        rows.append(
-            AblationRow(
-                parameter="reboot_threshold",
-                value=threshold,
-                reboots=watch.boot_count - 1,
-                crashes_seen=crashes,
-            )
-        )
+        finally:
+            watch.shutdown()
     return rows
 
 
@@ -104,19 +107,22 @@ def ablate_wedge_deliveries(
     for wedge in values:
         _, fuzzer = build_rig(QUICK, corpus=build_wear_corpus(seed=2018, wedge_deliveries=wedge))
         watch = fuzzer.device
-        result = fuzzer.fuzz_app(
-            HEART_RATE_PACKAGE, Campaign.A, FuzzConfig(strides=_QUICK_STRIDES)
-        )
-        notes = "reboot" if result.aborted_by_reboot else "no reboot"
-        rows.append(
-            AblationRow(
-                parameter="wedge_deliveries",
-                value=float(wedge),
-                reboots=watch.boot_count - 1,
-                crashes_seen=result.crashes_seen,
-                notes=notes,
+        try:
+            result = fuzzer.fuzz_app(
+                HEART_RATE_PACKAGE, Campaign.A, FuzzConfig(strides=_QUICK_STRIDES)
             )
-        )
+            notes = "reboot" if result.aborted_by_reboot else "no reboot"
+            rows.append(
+                AblationRow(
+                    parameter="wedge_deliveries",
+                    value=float(wedge),
+                    reboots=watch.boot_count - 1,
+                    crashes_seen=result.crashes_seen,
+                    notes=notes,
+                )
+            )
+        finally:
+            watch.shutdown()
     return rows
 
 
@@ -135,17 +141,20 @@ def ablate_pacing(
     for delay in delays_ms:
         _, fuzzer = build_rig(QUICK)
         watch = fuzzer.device
-        config = FuzzConfig(strides=_QUICK_STRIDES, intent_delay_ms=delay)
-        result = fuzzer.fuzz_app(AMBIENT_BINDER_PACKAGE, Campaign.D, config)
-        rows.append(
-            AblationRow(
-                parameter="intent_delay_ms",
-                value=delay,
-                reboots=watch.boot_count - 1,
-                crashes_seen=result.crashes_seen,
-                notes="loop detected" if result.aborted_by_reboot else "loop outran",
+        try:
+            config = FuzzConfig(strides=_QUICK_STRIDES, intent_delay_ms=delay)
+            result = fuzzer.fuzz_app(AMBIENT_BINDER_PACKAGE, Campaign.D, config)
+            rows.append(
+                AblationRow(
+                    parameter="intent_delay_ms",
+                    value=delay,
+                    reboots=watch.boot_count - 1,
+                    crashes_seen=result.crashes_seen,
+                    notes="loop detected" if result.aborted_by_reboot else "loop outran",
+                )
             )
-        )
+        finally:
+            watch.shutdown()
     return rows
 
 
@@ -182,10 +191,13 @@ def ablate_stride(
     for scale in scales:
         corpus, fuzzer = build_rig(QUICK)
         collector = StudyCollector(corpus.packages())
-        fuzzer.device.adb.logcat_clear()
-        for package in packages:
-            for campaign in Campaign:
-                run_segment(fuzzer, collector, package, campaign, FuzzConfig(strides=dict(scale)))
+        try:
+            fuzzer.device.adb.logcat_clear()
+            for package in packages:
+                for campaign in Campaign:
+                    run_segment(fuzzer, collector, package, campaign, FuzzConfig(strides=dict(scale)))
+        finally:
+            fuzzer.device.shutdown()
         health_crashes: Dict[str, int] = {}
         for campaign in Campaign:
             health_crashes[campaign.value] = sum(
@@ -232,17 +244,20 @@ def ablate_vendor_layer(
     for label, kind in (("moto360 (vendor layer)", "wear"), ("emulator (no vendor)", "emulator")):
         _, fuzzer = build_rig(QUICK, kind)
         device = fuzzer.device
-        collector = StudyCollector(device.packages.installed_packages())
-        device.adb.logcat_clear()
-        builtin_packages = [
-            p for p in device.packages.installed_packages() if p.is_built_in
-        ]
-        for package in builtin_packages:
-            for campaign in campaigns:
-                run_segment(
-                    fuzzer, collector, package.package, campaign,
-                    FuzzConfig(strides=_QUICK_STRIDES),
-                )
+        try:
+            collector = StudyCollector(device.packages.installed_packages())
+            device.adb.logcat_clear()
+            builtin_packages = [
+                p for p in device.packages.installed_packages() if p.is_built_in
+            ]
+            for package in builtin_packages:
+                for campaign in campaigns:
+                    run_segment(
+                        fuzzer, collector, package.package, campaign,
+                        FuzzConfig(strides=_QUICK_STRIDES),
+                    )
+        finally:
+            device.shutdown()
         crashed = set(collector.crashing_packages())
         vendor_crashed = sum(
             1 for p in builtin_packages if p.vendor and p.package in crashed
@@ -299,11 +314,14 @@ def ablate_guided_vs_blind(
     if packages is None:
         packages = [app.package.package for app in corpus.apps]
     collector = StudyCollector(corpus.packages())
-    fuzzer.device.adb.logcat_clear()
     blind_sent = 0
-    for package in packages:
-        for campaign in Campaign:
-            blind_sent += run_segment(fuzzer, collector, package, campaign, config.fuzz).sent
+    try:
+        fuzzer.device.adb.logcat_clear()
+        for package in packages:
+            for campaign in Campaign:
+                blind_sent += run_segment(fuzzer, collector, package, campaign, config.fuzz).sent
+    finally:
+        fuzzer.device.shutdown()
     blind_buckets = {
         (record.component, cls)
         for record in collector.component_records()
@@ -416,30 +434,33 @@ def ablate_os_chaos(
             # No runtime: the unbound devices reach the session's plan.
             _, fuzzer = build_rig(QUICK)
             watch = fuzzer.device
-            crashes = retries = failures = mismatches = 0
-            quarantined = set()
-            for package in packages:
-                for campaign in (Campaign.A, Campaign.D):
-                    result = fuzzer.fuzz_app(
-                        package, campaign, FuzzConfig(strides=_QUICK_STRIDES)
+            try:
+                crashes = retries = failures = mismatches = 0
+                quarantined = set()
+                for package in packages:
+                    for campaign in (Campaign.A, Campaign.D):
+                        result = fuzzer.fuzz_app(
+                            package, campaign, FuzzConfig(strides=_QUICK_STRIDES)
+                        )
+                        crashes += result.crashes_seen
+                        retries += result.retries
+                        failures += result.transport_failures
+                        mismatches += result.compat_mismatches
+                        if result.quarantined:
+                            quarantined.add(package)
+                rows.append(
+                    OsChaosRow(
+                        scenario=scenario,
+                        crashes_seen=crashes,
+                        reboots=watch.boot_count - 1,
+                        retries=retries,
+                        transport_failures=failures,
+                        compat_mismatches=mismatches,
+                        quarantined=len(quarantined),
                     )
-                    crashes += result.crashes_seen
-                    retries += result.retries
-                    failures += result.transport_failures
-                    mismatches += result.compat_mismatches
-                    if result.quarantined:
-                        quarantined.add(package)
-            rows.append(
-                OsChaosRow(
-                    scenario=scenario,
-                    crashes_seen=crashes,
-                    reboots=watch.boot_count - 1,
-                    retries=retries,
-                    transport_failures=failures,
-                    compat_mismatches=mismatches,
-                    quarantined=len(quarantined),
                 )
-            )
+            finally:
+                watch.shutdown()
     return rows
 
 

@@ -166,7 +166,7 @@ def run_wear_study(
         allow_partial=allow_partial,
     )
     return StudyResult(
-        collector=merge_collectors(results),
+        collector=merge_collectors(results, corpus.packages()),
         summary=merge_summaries(results),
         corpus=corpus,
         config=config,

@@ -2,13 +2,14 @@
 
 The analysis layer (tables, figures, exports, ``dumpsys telemetry``) never
 learns the farm exists: shard summaries concatenate through
-:meth:`FuzzSummary.merge`, shard collectors fold through
-:meth:`StudyCollector.merge`, and worker-local telemetry is absorbed into
-the live handle -- counters sum, gauges take the last shard's level,
-histogram buckets add elementwise, and spans are re-based onto the live
-tracer's id sequence.  Everything merges in shard (spec) order, so the
-merged study reads exactly like the serial run that visited the packages in
-the same order.
+:meth:`FuzzSummary.merge`, and the rows each shard's collector saw evidence
+for fold through :meth:`StudyCollector.merge` into a collector seeded from
+the study corpus, which owns the component universe.  Worker-local
+telemetry is absorbed into the live handle -- counters sum, gauges take
+the last shard's level, histogram buckets add elementwise, and spans are
+re-based onto the live tracer's id sequence.  Everything merges in shard
+(spec) order, so the merged study reads exactly like the serial run that
+visited the packages in the same order.
 
 A supervised run may hand over ``None`` in place of a poisoned shard
 (``--allow-partial``); every merge helper skips those holes, and the
@@ -24,7 +25,8 @@ from repro.analysis.manifest import StudyCollector
 from repro.farm.shard import ShardResult
 from repro.qgj.results import FuzzSummary
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
+if TYPE_CHECKING:  # pragma: no cover - typing-only imports
+    from repro.android.package_manager import PackageInfo
     from repro.fleet.pairs import PairSummary
 
 
@@ -36,8 +38,13 @@ def merge_summaries(results: Sequence[Optional[ShardResult]]) -> FuzzSummary:
     return FuzzSummary.merge([result.summary for result in _present(results)])
 
 
-def merge_collectors(results: Sequence[Optional[ShardResult]]) -> StudyCollector:
-    return StudyCollector.merge([result.collector for result in _present(results)])
+def merge_collectors(
+    results: Sequence[Optional[ShardResult]], packages: Sequence["PackageInfo"]
+) -> StudyCollector:
+    """Merge the shards' evidence rows over the study corpus's *packages*."""
+    return StudyCollector.merge(
+        [result.collector for result in _present(results)], packages
+    )
 
 
 def merge_fleet(results: Sequence[Optional[ShardResult]]) -> List["PairSummary"]:

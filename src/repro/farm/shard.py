@@ -8,7 +8,10 @@ and (in worker processes) its own telemetry handle, runs the shard's
 -- fuzz, pull the log records, fold, clear -- and returns a picklable
 :class:`ShardResult`.  Nothing it touches is process-global, which is the
 whole determinism argument: a shard cannot observe which worker ran it,
-what ran before it, or how many siblings it has.
+what ran before it, or how many siblings it has.  A blind shard folds
+against the whole corpus, since a stack frame may name a component of
+another installed package, but ships home only the collector rows that
+saw evidence; the study's merge owns the component universe.
 
 The paper's harness lives here once: :func:`build_rig` is the one recipe
 for its three test beds (a Moto 360 paired with a Nexus 4, a lone Nexus 6,
@@ -123,7 +126,10 @@ class ShardResult:
     key: str
     clock_ms: float
     #: The blind body's summary and folded collector (``None`` for the
-    #: guided and fleet bodies, which ship their own outcomes below).
+    #: guided and fleet bodies, which ship their own outcomes below).  The
+    #: collector holds only the rows that saw evidence
+    #: (:meth:`StudyCollector.evidence`); the merge takes the universe
+    #: from the study corpus.
     summary: Optional[FuzzSummary] = None
     collector: Optional[StudyCollector] = None
     #: Telemetry captured by a worker-local handle; ``None``/empty when the
@@ -350,6 +356,8 @@ def _study_span(spec: ShardSpec, handle: Telemetry, clock, heartbeat):
 def _run_blind_shard(spec, handle, plane, runtime, kill_switch, heartbeat, crash) -> ShardResult:
     """A wear or phone shard: every ``(package, campaign)`` segment in order.
 
+    The segments fold into a collector over the whole corpus; the result
+    carries only its rows with evidence (:meth:`StudyCollector.evidence`).
     With a journal, the shard writes its header when it starts and its
     result record once the last segment folds.  On resume, a finished
     shard returns that record; an unfinished one re-runs from a fresh rig.
@@ -389,7 +397,9 @@ def _run_blind_shard(spec, handle, plane, runtime, kill_switch, heartbeat, crash
                     )
                 )
                 _beat(heartbeat)
-        result = ShardResult(spec.index, spec.key, device.clock.now_ms(), summary, collector)
+        result = ShardResult(
+            spec.index, spec.key, device.clock.now_ms(), summary, collector.evidence()
+        )
         if journal is not None:
             journal.save_state(result)
         return result

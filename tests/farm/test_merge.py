@@ -8,7 +8,7 @@ and overlapping shards (partitioning-bug rejection).
 
 import pytest
 
-from repro.analysis.manifest import StudyCollector
+from repro.analysis.manifest import Manifestation, StudyCollector
 from repro.apps.catalog import build_wear_corpus
 from repro.experiments.config import QUICK
 from repro.farm import derive_plan, derive_seed, shard_packages
@@ -67,15 +67,15 @@ def universe():
 class TestCollectorMerge:
     def test_empty_merge_is_rejected(self, universe):
         with pytest.raises(ValueError, match="nothing to merge"):
-            StudyCollector.merge([])
+            StudyCollector.merge([], universe)
 
     def test_single_collector_round_trips(self, universe):
         one = StudyCollector(universe)
         one.fold((), universe[0].package, "A")
-        merged = StudyCollector.merge([one])
+        merged = StudyCollector.merge([one.evidence()], universe)
         assert merged.app_campaign == one.app_campaign
         assert merged.segments_folded == 1
-        assert len(merged.component_records()) == len(one.component_records())
+        assert merged.component_records() == one.component_records()
 
     def test_disjoint_segments_sum(self, universe):
         left = StudyCollector(universe)
@@ -83,7 +83,7 @@ class TestCollectorMerge:
         right = StudyCollector(universe)
         right.fold((), universe[1].package, "A")
         right.fold((), universe[1].package, "B")
-        merged = StudyCollector.merge([left, right])
+        merged = StudyCollector.merge([left.evidence(), right.evidence()], universe)
         assert merged.segments_folded == 3
         assert set(merged.app_campaign) == {
             (universe[0].package, "A"),
@@ -97,13 +97,43 @@ class TestCollectorMerge:
         right = StudyCollector(universe)
         right.fold((), universe[0].package, "A")
         with pytest.raises(ValueError, match="overlapping shard results"):
-            StudyCollector.merge([left, right])
+            StudyCollector.merge([left.evidence(), right.evidence()], universe)
 
-    def test_universe_mismatch_is_rejected(self, universe):
-        with pytest.raises(ValueError, match="different component universes"):
-            StudyCollector.merge(
-                [StudyCollector(universe), StudyCollector(universe[:1])]
-            )
+    def test_row_outside_the_universe_is_rejected(self, universe):
+        shard = StudyCollector(universe)
+        outside = _first_record(shard, universe[1])
+        outside.security_denials += 1
+        with pytest.raises(ValueError, match="outside the study's component universe"):
+            StudyCollector.merge([shard.evidence()], universe[:1])
+
+    def test_evidence_keeps_only_rows_that_saw_evidence(self, universe):
+        shard = StudyCollector(universe)
+        denied = _first_record(shard, universe[0])
+        denied.security_denials += 2
+        rebooted = _first_record(shard, universe[1])
+        rebooted.reboot_involved = True
+        shipped = shard.evidence()
+        assert shipped.component_records() == [denied, rebooted]
+        assert shipped.package_meta(universe[0].package) is None
+
+    def test_untouched_components_are_no_effect_once_in_corpus_order(self, universe):
+        left, right = StudyCollector(universe), StudyCollector(universe)
+        _first_record(left, universe[1]).anr_count += 1
+        _first_record(right, universe[1]).anr_count += 2
+        _first_record(right, universe[0]).handled_classes["java.lang.X"] += 1
+        merged = StudyCollector.merge([left.evidence(), right.evidence()], universe)
+        assert [r.component for r in merged.component_records()] == [
+            r.component for r in StudyCollector(universe).component_records()
+        ]
+        assert _first_record(merged, universe[1]).anr_count == 3
+        counts = merged.manifestation_counts()
+        assert sum(counts.values()) == len(merged.component_records())
+        assert counts[Manifestation.HANG] == 1
+        assert merged.package_meta(universe[0].package) is universe[0]
+
+
+def _first_record(collector, package):
+    return collector.record_for(package.components[0].name.flatten_to_string())
 
 
 class TestMetricsMerge:

@@ -14,12 +14,13 @@ import pytest
 
 from repro.android.clock import Clock
 from repro.android.runtime import RuntimeContext
+from repro.experiments.ablations import ablate_pacing
 from repro.experiments.config import QUICK, ExperimentConfig
 from repro.farm import shard as farm_shard
 from repro.farm.shard import ShardSpec, build_rig, run_shard
 from repro.fleet import pair_task, plan_pairs, shared_corpus
 from repro.qgj.campaigns import Campaign
-from repro.qgj.fuzzer import FuzzConfig
+from repro.qgj.fuzzer import FuzzConfig, FuzzerLibrary
 from repro.telemetry import session
 from repro.telemetry.exporters import render_prometheus
 
@@ -122,6 +123,21 @@ def test_wear_shard_frees_its_bed_when_it_returns(monkeypatch, collector_off):
     )
     result = run_shard(spec)
     assert result.summary.total_sent > 0
+    assert watcher.alive() == []
+
+
+def test_ablation_row_frees_its_bed(monkeypatch, collector_off):
+    watcher = _BedWatcher(monkeypatch)
+    fuzz_app = FuzzerLibrary.fuzz_app
+
+    def sampled_fuzz_app(self, *args, **kwargs):
+        result = fuzz_app(self, *args, **kwargs)
+        watcher.sample()
+        return result
+
+    monkeypatch.setattr(FuzzerLibrary, "fuzz_app", sampled_fuzz_app)
+    (row,) = ablate_pacing((16_000.0,))
+    assert row.crashes_seen > 0
     assert watcher.alive() == []
 
 
