@@ -24,7 +24,7 @@ tens of milliseconds):
    stable even while absolute rates swing.
 3. Every instrumented variant runs one warm window inside its fresh
    session before the timed one, so first-touch costs (handle binds,
-   span-ring pages) are not billed to the steady state a paper-scale run
+   metric families) are not billed to the steady state a paper-scale run
    actually lives in -- and each variant times *two* windows per rotation,
    keeping the best.  Noise (a GC pause, an interrupt, a frequency dip)
    only ever adds time, so the fastest window is the cleanest estimate of
@@ -78,11 +78,6 @@ def measure(rounds: int = ROUNDS, rotations: int = ROTATIONS) -> dict:
             window()
             return best_of_two()
 
-    def run_sampled():
-        with telemetry.session(sample_every=100):
-            window()
-            return best_of_two()
-
     def run_profiled():
         with telemetry.session(profile=True):
             window()
@@ -90,7 +85,6 @@ def measure(rounds: int = ROUNDS, rotations: int = ROTATIONS) -> dict:
 
     variants = {
         "on": run_on,
-        "sampled": run_sampled,
         "profiled": run_profiled,
     }
     window()
@@ -112,10 +106,8 @@ def measure(rounds: int = ROUNDS, rotations: int = ROTATIONS) -> dict:
         "rotations": rotations,
         "intents_per_sec_telemetry_off": round(best["off"], 1),
         "intents_per_sec_telemetry_on": round(best["on"], 1),
-        "intents_per_sec_sampled_100": round(best["sampled"], 1),
         "intents_per_sec_profiled": round(best["profiled"], 1),
         "overhead_ratio": round(statistics.median(ratios["on"]), 3),
-        "overhead_ratio_sampled": round(statistics.median(ratios["sampled"]), 3),
         "overhead_ratio_profiled": round(statistics.median(ratios["profiled"]), 3),
     }
 

@@ -37,4 +37,4 @@ def test_table5_regenerates(benchmark, ui):
 
     # "Reassuringly, we did not observe any system crash during our UI
     # injections."
-    assert ui.emulator.boot_count == 1
+    assert ui.boot_count == 1

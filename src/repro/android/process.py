@@ -9,9 +9,9 @@ model the fuzz study depends on are:
   (``FATAL EXCEPTION: main``) -- that is the study's *Crash* manifestation;
 * a callback that blocks past the ANR timeout triggers an
   Application-Not-Responding report -- the *Hang* manifestation;
-* when a process dies, binder calls into it fail with
-  ``DeadObjectException`` in its clients -- one of the error-propagation
-  channels behind the observed reboots.
+* when a process dies, its death recipients are notified, and a client
+  that held a binder to it surfaces ``DeadObjectException`` -- one of the
+  error-propagation channels behind the observed reboots.
 
 Time is virtual (:mod:`repro.android.clock`): a callback declares how long it
 *would* have run, and the looper advances the clock by that much.

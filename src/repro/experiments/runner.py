@@ -144,8 +144,7 @@ def export_json(
 
 USAGE = """\
 usage: python -m repro [quick|paper] [--json FILE] [--telemetry DIR]
-                       [--telemetry-sample N] [--profile]
-                       [--workers N|auto] [--fault-seed N]
+                       [--profile] [--workers N|auto] [--fault-seed N]
                        [--service-fault-seed N] [--compat-skew N]
                        [--fleet N] [--cohorts SPEC] [--lanes M]
                        [--journal FILE | --resume FILE] [--kill-after N]
@@ -162,9 +161,6 @@ options:
   --json FILE      write the machine-readable study export instead
   --telemetry DIR  enable campaign telemetry and export metrics.prom,
                    trace.jsonl and summary.txt under DIR
-  --telemetry-sample N
-                   retain 1-in-N spans per span name (deterministic, seeded;
-                   default 1 = keep everything; requires --telemetry)
   --profile        arm the telemetry self-profiler: adds a SELF-PROFILE
                    section to summary.txt and writes a flamegraph-ready
                    profile.collapsed under DIR (requires --telemetry)
@@ -272,9 +268,6 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("config", nargs="?", default="quick")
     parser.add_argument("--json", dest="json_path", metavar="FILE")
     parser.add_argument("--telemetry", dest="telemetry_dir", metavar="DIR")
-    parser.add_argument(
-        "--telemetry-sample", dest="telemetry_sample", type=int, default=1, metavar="N"
-    )
     parser.add_argument("--profile", dest="profile", action="store_true")
     parser.add_argument("--workers", default="1", metavar="N")
     parser.add_argument("--fleet", dest="fleet", type=int, metavar="N")
@@ -315,7 +308,7 @@ def _usage(message: str) -> int:
 #: its option name, the flags it owns).
 _OWNED_FLAGS = (
     ("--fleet", "fleet", ("--cohorts", "--lanes")),
-    ("--telemetry DIR", "telemetry_dir", ("--telemetry-sample", "--profile")),
+    ("--telemetry DIR", "telemetry_dir", ("--profile",)),
     ("--guided", "guided", ("--corpus-dir", "--scheduler", "--guided-budget")),
 )
 
@@ -324,7 +317,6 @@ _AT_LEAST_ONE = (
     "--fleet",
     "--lanes",
     "--max-shard-attempts",
-    "--telemetry-sample",
     "--guided-budget",
 )
 
@@ -441,9 +433,7 @@ def main(argv=None) -> int:
         faults.install(plan)
     handle: Optional[telemetry.Telemetry] = None
     if opts.telemetry_dir is not None:
-        handle = telemetry.enable(
-            sample_every=opts.telemetry_sample, profile=opts.profile
-        )
+        handle = telemetry.enable(profile=opts.profile)
         handle.progress.add_listener(lambda snap: print(snap.render(), file=sys.stderr))
     # Only the knobs this run sets, so a plain run keeps the cached study.
     study_kwargs = {

@@ -78,9 +78,7 @@ def absorb_telemetry(handle, results: Sequence[Optional[ShardResult]]) -> None:
     for result in _present(results):
         if result.metrics is not None:
             handle.metrics.merge_from(result.metrics)
-        if result.spans or result.spans_dropped or result.spans_sampled_out:
-            handle.tracer.absorb(
-                result.spans, result.spans_dropped, result.spans_sampled_out
-            )
+        if result.spans or result.spans_dropped:
+            handle.tracer.absorb(result.spans, result.spans_dropped)
         if result.profile:
             handle.profiler.merge(result.profile)

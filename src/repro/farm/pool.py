@@ -77,7 +77,7 @@ def drive_study(
     """Run every shard of one study; return the completed results and health.
 
     Every spec is stamped with the live telemetry handle's state (enabled,
-    span sampling, profiler) so worker shards instrument exactly like
+    profiler) so worker shards instrument exactly like
     in-process ones.  *kill_after_injections* arms a study-wide kill switch
     (shared across workers at ``workers>1``).  *shard_timeout* (seconds)
     and *max_shard_attempts* tune the supervisor's deadline and retries.
@@ -94,8 +94,6 @@ def drive_study(
         dataclasses.replace(
             spec,
             telemetry_enabled=live.enabled,
-            sample_every=live.tracer.sample_every,
-            sample_seed=live.tracer.sample_seed,
             profile=live.profiler.enabled,
         )
         for spec in specs

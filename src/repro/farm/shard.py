@@ -98,11 +98,6 @@ class ShardSpec:
     telemetry_enabled: bool = False     # worker shards build a local handle
     span_capacity: int = DEFAULT_SPAN_CAPACITY
     heartbeat_every: int = DEFAULT_EVERY_INJECTIONS
-    #: Span sampling (1 = keep everything) and the seed its phase offsets
-    #: derive from; copied from the live tracer so worker-local tracers
-    #: sample identically to an in-process run.
-    sample_every: int = 1
-    sample_seed: int = 0
     #: Arm a worker-local PhaseProfiler whose snapshot ships home.
     profile: bool = False
     journal_path: Optional[str] = None  # per-shard checkpoint journal
@@ -137,7 +132,6 @@ class ShardResult:
     metrics: Optional[MetricsRegistry] = None
     spans: List[Span] = dataclasses.field(default_factory=list)
     spans_dropped: int = 0
-    spans_sampled_out: int = 0
     #: The worker-local profiler's snapshot (``None`` unless profiling).
     profile: Optional[dict] = None
     #: Block outcomes for a guided shard (``None`` for the blind studies).
@@ -159,11 +153,7 @@ def _fresh_handle(spec: ShardSpec) -> Telemetry:
     return Telemetry(
         True,
         registry,
-        Tracer(
-            capacity=spec.span_capacity,
-            sample_every=spec.sample_every,
-            sample_seed=spec.sample_seed,
-        ),
+        Tracer(capacity=spec.span_capacity),
         Heartbeat(registry, every_injections=spec.heartbeat_every),
         profiler=PhaseProfiler() if spec.profile else NOOP_PROFILER,
     )
@@ -232,10 +222,6 @@ def run_shard(
         raise ValueError(f"unknown shard study kind: {spec.study!r}")
     owns_handle = telemetry_handle is None
     handle = _fresh_handle(spec) if owns_handle else telemetry_handle
-    # Both paths reset the sampling phase here: every shard samples from a
-    # fresh count whether it runs in-process or on a worker-local tracer,
-    # which is what keeps the merged trace identical at any worker count.
-    handle.tracer.begin_shard()
     _beat(heartbeat)
     # Bind explicitly even when no plan is armed: a forked worker inherits
     # the parent's module globals, and the fallback would leak the study
@@ -259,7 +245,6 @@ def run_shard(
         result.metrics = handle.metrics
         result.spans = handle.tracer.spans()
         result.spans_dropped = handle.tracer.dropped
-        result.spans_sampled_out = handle.tracer.sampled_out
         if handle.profiler.enabled:
             result.profile = handle.profiler.snapshot()
     return result

@@ -11,8 +11,9 @@ from app-level intent fuzzing.  This package brings both into the QGJ stack:
   process kills, logcat truncation, OS-service outages/corruptions,
   system_server restarts, and compat mismatches, on the virtual clock;
 * :mod:`repro.faults.plane` -- the installed plane and its hook entry
-  points in ``adb.py`` / ``binder.py`` / ``process.py`` /
-  ``activity_manager.py`` / ``package_manager.py`` / ``sensor.py``;
+  points in ``adb.py`` / ``process.py`` / ``activity_manager.py`` /
+  ``package_manager.py`` / ``sensor.py`` / ``wear/node.py``; binder
+  transport faults fire only at the activity manager's outermost dispatch;
 * :mod:`repro.faults.retry` -- exponential backoff + seeded jitter for
   transient transport errors;
 * :mod:`repro.faults.quarantine` -- the per-package circuit breaker;

@@ -5,12 +5,17 @@ fetched with :func:`repro.faults.get`, guarded at every instrument site by
 ``plane.armed``.  With no plan installed the handle is a shared
 :class:`NoopPlane` whose ``armed`` is ``False``, so the simulator pays one
 attribute check per hook and nothing else -- zero behavior drift from seed.
+Armed, the dispatch-path hooks (:meth:`FaultPlane.on_transact`,
+:meth:`FaultPlane.on_process_table`, :meth:`FaultPlane.on_system_service`
+and so :meth:`FaultPlane.on_resolve`) return after one clock comparison
+while no event is due and no outage window or missing-method manifestation
+is pending: in that state every ``take_due`` would answer ``[]``.
 
 Hook sites (all in the android layer):
 
 * :meth:`FaultPlane.on_adb` -- ``adb.py``, entry of every adb command;
-* :meth:`FaultPlane.on_transact` -- ``binder.py`` transactions and the
-  activity manager's top-level dispatch boundary;
+* :meth:`FaultPlane.on_transact` -- the activity manager's outermost
+  dispatch boundary, the only place binder transport faults fire;
 * :meth:`FaultPlane.on_process_table` -- ``process.py`` process lookup
   (where lmkd would run);
 * logcat truncation rides on :meth:`FaultPlane.on_adb` (the loss is
@@ -179,7 +184,10 @@ class FaultPlane:
     def on_transact(self, clock: "Clock", descriptor: str) -> None:
         """Called before a binder transaction; raises on a due fault."""
         execution = self.execution_for(clock)
-        due = execution.take_due(FaultKind.BINDER, clock.now_ms(), limit=1)
+        now = clock.now_ms()
+        if now < execution.next_due_ms:
+            return
+        due = execution.take_due(FaultKind.BINDER, now, limit=1)
         if not due:
             return
         event = due[0]
@@ -196,7 +204,10 @@ class FaultPlane:
         """Called on process lookup; reaps lmkd victims for due kills."""
         clock = table.clock
         execution = self.execution_for(clock)
-        for event in execution.take_due(FaultKind.LMKD_KILL, clock.now_ms()):
+        now = clock.now_ms()
+        if now < execution.next_due_ms:
+            return
+        for event in execution.take_due(FaultKind.LMKD_KILL, now):
             victims = sorted(
                 (
                     p
@@ -253,10 +264,19 @@ class FaultPlane:
         Applies a due system_server restart first (the whole server bounces,
         the caller's binder dies), then opens/enforces unavailability
         windows, then manifests a pending missing-method compat mismatch.
+        Before the next due event, with no window open and no mismatch
+        pending, none of that can happen, so one comparison answers.
         """
         clock = device.clock
         execution = self.execution_for(clock)
-        restarts = execution.take_due(FaultKind.SYSTEM_RESTART, clock.now_ms(), limit=1)
+        now = clock.now_ms()
+        if (
+            now < execution.next_due_ms
+            and not execution.outages
+            and not execution.pending_missing_method
+        ):
+            return
+        restarts = execution.take_due(FaultKind.SYSTEM_RESTART, now, limit=1)
         if restarts:
             self._record(restarts[0], clock)
             # The restart resets in-flight service state: open windows close

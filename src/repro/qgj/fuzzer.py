@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import time
 from typing import Callable, Generator, Iterable, Optional, Sequence, Tuple
 
 from repro.android.activity_manager import DispatchResult
@@ -96,12 +95,6 @@ _INTENTS_SITE = CounterSite(
     ("campaign", "package", "outcome"),
 )
 
-#: Attribute keys of the inline leaf-ring entry (see :func:`_recording`):
-#: one shared tuple instead of a fresh two-key dict per injection.  Order
-#: matters -- materialized spans must carry ``{"seq": ..., "outcome": ...}``
-#: exactly as ``record_leaf`` would.
-_LEAF_KEYS = ("seq", "outcome")
-
 #: One injection, shaped like :meth:`FuzzerLibrary._inject`.
 InjectStep = Callable[
     [ComponentInfo, FuzzIntent, ComponentRunResult],
@@ -168,37 +161,25 @@ def _observed(inject: InjectStep, observer: Observer) -> InjectStep:
 def _recording(t, clock, info, campaign, config, result, inject: InjectStep):
     """Yield *inject* wrapped in the telemetry one component run records.
 
-    Everything resolvable is hoisted out of the step -- the metric family
-    (registered up front so its TYPE/HELP lines appear even for a component
-    that sends nothing), the per-outcome bound handles, the leaf-ring
-    state -- and the recording is written *inline*: at ~100k injections/s a
-    method call costs more than the record it would make.  The step is the
-    one inline client of the tracer's leaf ring, and
-    ``tests/telemetry/test_trace.py`` asserts its tuple materializes
-    exactly what :meth:`Tracer.record_leaf` records.  Under sampling it
-    calls ``record_leaf`` itself.
+    The run is one ``component`` span on *clock*, closed with the number of
+    intents it sent; each injection bumps ``intents_injected_total`` for its
+    outcome.  Everything resolvable is hoisted out of the step -- the metric
+    family (registered up front so its TYPE/HELP lines appear even for a
+    component that sends nothing) and the per-outcome bound handles -- and
+    the count is written inline: at ~100k injections/s a method call costs
+    more than the record it would make.
 
-    Heartbeat ticks and ring appends are settled from ``result.sent``
-    (fresh, and ``_inject`` adds one per call), not counted per injection:
-    the heartbeat at the first step after each batch pause, so snapshots
-    read the clock after the pause, and at exit; the ring appends at exit.
+    Heartbeat ticks are settled from ``result.sent`` (fresh, and ``_inject``
+    adds one per call), not counted per injection: at the first step after
+    each batch pause, so snapshots read the clock after the pause, and at
+    exit.
     """
-    tracer = t.tracer
     metrics = t.metrics
     heartbeat = t.progress
     _INTENTS_SITE.family(metrics)
     heartbeat.count_injections(0)  # pin the rate baseline to campaign start
     handles: dict = {}
     labels = (campaign.value, info.package)
-    sampling = tracer.sample_every != 1
-    record_leaf = tracer.record_leaf
-    finished_append = tracer._finished.append
-    next_id = tracer._ids.__next__
-    perf_counter = time.perf_counter
-    # Leaf spans never push, so the injections' parent (the open component
-    # span) is a constant for the whole run.
-    stack = tracer._stack
-    parent_id = stack[-1].span_id if stack else None
     batch_size = config.batch_size
     next_batch = batch_size
 
@@ -207,36 +188,7 @@ def _recording(t, clock, info, campaign, config, result, inject: InjectStep):
         if result.sent == next_batch:
             heartbeat.count_injections(batch_size)
             next_batch += batch_size
-        start_wall = perf_counter()
-        start_virtual = clock._now_ms
         outcome, dispatch = inject(info, fuzz_intent, result)
-        end_wall = perf_counter()
-        if sampling:
-            record_leaf(
-                "injection",
-                {"seq": result.sent, "outcome": outcome},
-                start_wall,
-                end_wall,
-                start_virtual,
-                clock._now_ms,
-            )
-        else:
-            # Inline Tracer.record_leaf: one flat ring entry, attribute
-            # values trailing the shared key tuple.
-            finished_append(
-                (
-                    next_id(),
-                    parent_id,
-                    "injection",
-                    _LEAF_KEYS,
-                    start_wall,
-                    end_wall,
-                    start_virtual,
-                    clock._now_ms,
-                    result.sent,
-                    outcome,
-                )
-            )
         # Direct slot store: BoundCounter.inc(1) without the call.  A
         # handful of outcomes over thousands of injections makes try/except
         # cheaper than .get().
@@ -247,15 +199,21 @@ def _recording(t, clock, info, campaign, config, result, inject: InjectStep):
             handle.pending += 1
         return outcome, dispatch
 
-    try:
-        yield step
-    finally:
-        sent = result.sent
-        settled = next_batch - batch_size
-        if sent != settled:
-            heartbeat.count_injections(sent - settled)
-        if not sampling:
-            tracer._appended += sent
+    with t.tracer.span(
+        "component",
+        clock=clock,
+        component=result.component,
+        kind=info.kind.value,
+        campaign=campaign.value,
+    ) as span:
+        try:
+            yield step
+        finally:
+            sent = result.sent
+            settled = next_batch - batch_size
+            if sent != settled:
+                heartbeat.count_injections(sent - settled)
+            span.set_attribute("sent", sent)
 
 
 #: Quick scale: every component still sees every action and every corruption
@@ -316,8 +274,8 @@ class FuzzerLibrary:
         (the guided engine's stream); *observer* sees every injection as
         ``(info, intent, outcome, dispatch)``, so callers can fingerprint
         behaviours without re-entering the dispatch path.  With telemetry
-        enabled the run is a ``component`` span and every injection goes
-        through :func:`_recording`; ``--profile`` adds the ``generate`` and
+        enabled the run is a ``component`` span that records the intents it
+        sent, and every injection is counted through :func:`_recording`; ``--profile`` adds the ``generate`` and
         ``dispatch`` phase brackets.
         """
         result = ComponentRunResult(
@@ -336,15 +294,6 @@ class FuzzerLibrary:
                         intents = _grammar(info, campaign, config)
                     intents = _profiled_generation(intents, profiler)
                     inject = _profiled_dispatch(inject, profiler)
-                stack.enter_context(
-                    t.tracer.span(
-                        "component",
-                        clock=clock,
-                        component=result.component,
-                        kind=info.kind.value,
-                        campaign=campaign.value,
-                    )
-                )
                 inject = stack.enter_context(
                     _recording(t, clock, info, campaign, config, result, inject)
                 )

@@ -2,7 +2,7 @@
 
 The DSN'18 study observes the *system under test* through logcat; this
 package observes the *campaign itself* -- injection throughput, ANR-watchdog
-latency, binder traffic, log-buffer pressure, and where a run spends its
+latency, dispatch traffic, log-buffer pressure, and where a run spends its
 time -- the instrumentation plane that fault-injection campaigns need
 beside the injector (Cotroneo et al.) and that every later perf claim in
 this repo is judged against.
@@ -11,8 +11,8 @@ Four modules:
 
 * :mod:`repro.telemetry.metrics` -- process-wide Counters / Gauges /
   fixed-bucket Histograms with labeled series;
-* :mod:`repro.telemetry.trace` -- nested span tracing (``campaign →
-  package → component → injection``) stamped with virtual and wall clocks;
+* :mod:`repro.telemetry.trace` -- nested span tracing (``study →
+  campaign → package → component``) stamped with virtual and wall clocks;
 * :mod:`repro.telemetry.exporters` -- Prometheus text exposition, JSONL
   trace export, and the ``dumpsys telemetry`` summary table;
 * :mod:`repro.telemetry.progress` -- heartbeat snapshots for paper-scale
@@ -35,7 +35,7 @@ Usage::
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.telemetry import exporters, metrics, profiler, progress, record, trace
 from repro.telemetry.metrics import NOOP_REGISTRY, MetricsRegistry, NoopRegistry
@@ -109,32 +109,22 @@ def enable(
     clock=None,
     span_capacity: int = DEFAULT_SPAN_CAPACITY,
     heartbeat_every: int = progress.DEFAULT_EVERY_INJECTIONS,
-    sample_every: int = 1,
-    sample_seed: int = 0,
     profile: bool = False,
 ) -> Telemetry:
     """Install a fresh live registry/tracer/heartbeat and return the handle.
 
     Calling it again replaces the previous instruments (a fresh campaign
     starts from zero).  *clock* may be attached later via
-    :meth:`Telemetry.set_clock` once the device exists.  *sample_every*
-    retains 1-in-N spans per span name (deterministically, derived from
-    *sample_seed*; ``1`` retains everything), and *profile* arms the
-    :class:`~repro.telemetry.profiler.PhaseProfiler`.
+    :meth:`Telemetry.set_clock` once the device exists, and *profile* arms
+    the :class:`~repro.telemetry.profiler.PhaseProfiler`.
     """
     global _active
     registry = MetricsRegistry()
-    tracer = Tracer(
-        capacity=span_capacity,
-        clock=clock,
-        sample_every=sample_every,
-        sample_seed=sample_seed,
-    )
     heartbeat = Heartbeat(registry, every_injections=heartbeat_every, clock=clock)
     _active = Telemetry(
         True,
         registry,
-        tracer,
+        Tracer(capacity=span_capacity, clock=clock),
         heartbeat,
         profiler=PhaseProfiler() if profile else NOOP_PROFILER,
     )
@@ -152,8 +142,6 @@ def session(
     clock=None,
     span_capacity: int = DEFAULT_SPAN_CAPACITY,
     heartbeat_every: int = progress.DEFAULT_EVERY_INJECTIONS,
-    sample_every: int = 1,
-    sample_seed: int = 0,
     profile: bool = False,
 ) -> Iterator[Telemetry]:
     """Enable telemetry for a ``with`` block, disabling on exit."""
@@ -161,8 +149,6 @@ def session(
         clock=clock,
         span_capacity=span_capacity,
         heartbeat_every=heartbeat_every,
-        sample_every=sample_every,
-        sample_seed=sample_seed,
         profile=profile,
     )
     try:

@@ -5,11 +5,11 @@ Four consumers, four formats:
 * ``render_prometheus`` -- the `text exposition format
   <https://prometheus.io/docs/instrumenting/exposition_formats/>`_, for
   scraping or diffing campaign runs;
-* ``spans_to_jsonl`` -- one finished span per line, newest window of the
-  tracer's ring buffer, for offline trace analysis;
+* ``spans_to_jsonl`` -- one finished span per line, the tracer's ring
+  buffer (a whole clean quick or paper run), for offline trace analysis;
 * ``render_summary`` -- the human-readable table behind
-  ``adb shell dumpsys telemetry`` (plus the tracer's sampling account and
-  the ``SELF-PROFILE`` section when those features are armed);
+  ``adb shell dumpsys telemetry`` (plus the ``SELF-PROFILE`` section when
+  the profiler is armed);
 * ``render_collapsed`` -- the self-profiler as flamegraph-ready
   collapsed stacks (``phase;subphase <microseconds>``).
 
@@ -187,13 +187,6 @@ def render_summary(telemetry: "Telemetry") -> str:
         f"spans: {len(tracer)} retained, {tracer.dropped} dropped,"
         f" {tracer.open_depth} open"
     )
-    # Gated on sampling being armed: the default summary must stay
-    # byte-identical whether or not this release knows about sampling.
-    if getattr(tracer, "sample_every", 1) > 1:
-        lines.append(
-            f"sampling: 1-in-{tracer.sample_every}"
-            f" (seed={tracer.sample_seed}), {tracer.sampled_out} sampled out"
-        )
     heartbeat = telemetry.progress.last_snapshot
     if heartbeat is not None:
         lines.append(heartbeat.render())

@@ -26,7 +26,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 INTENTS_INJECTED = "intents_injected_total"
 ANR_LATENCY = "anr_watchdog_latency_ms"
 AM_DISPATCHES = "am_dispatches_total"
-BINDER_TRANSACTIONS = "binder_transactions_total"
 LOGCAT_WRITTEN = "logcat_records_written_total"
 LOGCAT_DROPPED = "logcat_records_dropped_total"
 LOGCAT_BUFFERED = "logcat_buffer_records"

@@ -2,7 +2,7 @@
 
 The telemetry plane watches the campaign; this watches the telemetry
 plane's host -- where one wall-clock second of simulation actually goes
-across the ``intent-generation → AM dispatch → binder → logcat → UI``
+across the ``intent-generation → AM dispatch → logcat → fold → UI``
 loop.  It is the built-in replacement for "attach cProfile and rerun":
 cheap enough to leave on for a measurement run (one ``perf_counter`` and a
 dict upsert per phase switch, nothing per sample inside a phase), and off

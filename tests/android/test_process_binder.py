@@ -1,14 +1,9 @@
-"""Tests for the process table, main-thread execution, and binder IPC."""
+"""Tests for the process table and main-thread execution."""
 
 import pytest
 
-from repro.android.binder import IBinder, ServiceRegistry
 from repro.android.clock import Clock
-from repro.android.jtypes import (
-    DeadObjectException,
-    IllegalArgumentException,
-    NullPointerException,
-)
+from repro.android.jtypes import NullPointerException
 from repro.android.process import (
     MainThreadTask,
     ProcessRecord,
@@ -120,45 +115,3 @@ class TestProcessTable:
         table.clear()
         assert not proc.alive
         assert table.live_processes() == []
-
-
-class TestBinder:
-    def test_transact_dispatches(self, clock):
-        owner = ProcessRecord("svc", "android", clock)
-        binder = IBinder("test.binder", owner)
-        binder.register("add", lambda a, b: a + b)
-        assert binder.transact("add", 2, 3) == 5
-
-    def test_unknown_code_raises_iae(self, clock):
-        binder = IBinder("b", ProcessRecord("svc", "android", clock))
-        with pytest.raises(IllegalArgumentException):
-            binder.transact("nope")
-
-    def test_dead_owner_raises_dead_object(self, clock):
-        owner = ProcessRecord("svc", "android", clock)
-        binder = IBinder("b", owner)
-        binder.register("ping", lambda: "pong")
-        owner.kill()
-        assert not binder.is_binder_alive()
-        with pytest.raises(DeadObjectException):
-            binder.transact("ping")
-
-    def test_link_to_death_via_binder(self, clock):
-        owner = ProcessRecord("svc", "android", clock)
-        binder = IBinder("b", owner)
-        deaths = []
-        binder.link_to_death(lambda proc: deaths.append(proc.name))
-        owner.kill()
-        assert deaths == ["svc"]
-
-    def test_service_registry(self, clock):
-        registry = ServiceRegistry()
-        owner = ProcessRecord("svc", "android", clock)
-        binder = IBinder("sensor", owner)
-        registry.add_service("sensor", binder)
-        assert registry.get_service("sensor") is binder
-        assert registry.check_service("sensor") is binder
-        owner.kill()
-        assert registry.get_service("sensor") is binder
-        assert registry.check_service("sensor") is None
-        assert "sensor" in registry.names()

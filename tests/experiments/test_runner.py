@@ -215,20 +215,9 @@ class TestGuidedSupervisionCli:
 
 
 class TestTelemetryCli:
-    def test_sample_flag_requires_telemetry_dir(self, capsys):
-        assert runner.main(["quick", "--telemetry-sample", "10"]) == 2
-        assert "--telemetry-sample requires --telemetry" in capsys.readouterr().err
-
     def test_profile_flag_requires_telemetry_dir(self, capsys):
         assert runner.main(["quick", "--profile"]) == 2
         assert "--profile requires --telemetry" in capsys.readouterr().err
-
-    def test_sample_rate_validated(self, capsys):
-        assert (
-            runner.main(["quick", "--telemetry", "/tmp/x", "--telemetry-sample", "0"])
-            == 2
-        )
-        assert "--telemetry-sample must be >= 1" in capsys.readouterr().err
 
     def test_telemetry_dir_exports_snapshot(self, monkeypatch, tmp_path, capsys):
         from repro import telemetry
@@ -279,25 +268,6 @@ class TestTelemetryCli:
         )
         assert "fold" in stacks
         assert not any(stack.startswith("fold;") for stack in stacks)
-
-    def test_sampling_session_armed_from_flag(self, monkeypatch, tmp_path):
-        from repro import telemetry
-
-        seen = {}
-
-        def fake_report(name):
-            seen["sample_every"] = telemetry.get().tracer.sample_every
-            return "REPORT"
-
-        monkeypatch.setattr(runner, "full_report", fake_report)
-        out = tmp_path / "tele"
-        assert (
-            runner.main(
-                ["quick", "--telemetry", str(out), "--telemetry-sample", "25"]
-            )
-            == 0
-        )
-        assert seen["sample_every"] == 25
 
 
 class TestResumeCli:

@@ -174,57 +174,6 @@ class TestTelemetryEquivalence:
         assert fanned_intents == serial_intents
         assert fanned_spans == serial_spans
 
-    def test_sampled_telemetry_identical_at_1_2_and_4_workers(self):
-        runs = {}
-        for workers in (1, 2, 4):
-            with telemetry.session(sample_every=7) as t:
-                run_wear_study(
-                    QUICK, packages=PACKAGES, campaigns=CAMPAIGNS, workers=workers
-                )
-                runs[workers] = (
-                    t.metrics.get(INTENTS_INJECTED).total(),
-                    t.tracer.sampled_out,
-                    self._projection(t.tracer),
-                )
-        intents, sampled_out, projection = runs[1]
-        assert sampled_out > 0  # sampling actually engaged
-        assert projection  # and retained a deterministic residue
-        assert runs[2] == runs[1]
-        assert runs[4] == runs[1]
-
-    def test_sampled_out_accounting_matches_the_unsampled_span_count(self):
-        # retained + dropped + sampled_out must equal the spans an
-        # unsampled run of the same study opens -- exact accounting, not
-        # an estimate, and invariant under fan-out.
-        with telemetry.session() as t:
-            run_wear_study(QUICK, packages=PACKAGES, campaigns=CAMPAIGNS, workers=2)
-            opened = len(t.tracer) + t.tracer.dropped
-        with telemetry.session(sample_every=5) as t:
-            run_wear_study(QUICK, packages=PACKAGES, campaigns=CAMPAIGNS, workers=2)
-            accounted = len(t.tracer) + t.tracer.dropped + t.tracer.sampled_out
-        assert accounted == opened
-
-    def test_sampled_equivalence_holds_under_a_fault_plan(self):
-        # Same no-adb-drop caveat as the fingerprint fault test above.
-        plan = FaultPlan(
-            seed=2018,
-            binder_every_ms=8_000.0,
-            lmkd_every_ms=30_000.0,
-            logcat_truncate_every_ms=60_000.0,
-        )
-        runs = {}
-        for workers in (1, 2):
-            with faults.session(plan), telemetry.session(sample_every=7) as t:
-                run_wear_study(
-                    QUICK, packages=PACKAGES, campaigns=CAMPAIGNS, workers=workers
-                )
-                runs[workers] = (
-                    t.metrics.get(INTENTS_INJECTED).total(),
-                    t.tracer.sampled_out,
-                    self._projection(t.tracer),
-                )
-        assert runs[2] == runs[1]
-
 
 class TestShardedResume:
     def test_journalled_sharded_study_resumes_to_the_same_summary(self, tmp_path):

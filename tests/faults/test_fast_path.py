@@ -180,6 +180,47 @@ class TestTakeDueMatchesEager:
         assert walks == [first]
 
 
+class TestHooksAnswerInOneComparison:
+    def test_dispatches_before_the_first_due_event_never_ask_the_schedule(
+        self, monkeypatch
+    ):
+        from repro.apps.catalog import build_wear_corpus
+        from repro.qgj.campaigns import Campaign
+        from repro.qgj.fuzzer import FuzzConfig, FuzzerLibrary
+        from repro.wear.device import WearDevice
+
+        # Every kind the dispatch path polls is armed, none due for hours.
+        plan = FaultPlan(
+            seed=5,
+            binder_every_ms=3_600_000.0,
+            lmkd_every_ms=3_600_000.0,
+            service_outage_every_ms=3_600_000.0,
+            service_corrupt_every_ms=3_600_000.0,
+            system_restart_every_ms=3_600_000.0,
+        )
+        asked = []
+        take_due = PlanExecution.take_due
+
+        def spy(self, kind, now_ms, limit=None):
+            asked.append(kind)
+            return take_due(self, kind, now_ms, limit)
+
+        monkeypatch.setattr(PlanExecution, "take_due", spy)
+        with faults.session(plan) as plane:
+            watch = WearDevice("one-comparison")
+            build_wear_corpus(seed=2018).install(watch)
+            info = watch.packages.get_package("com.runmate.wear").activities()[1]
+            dispatches = watch.activity_manager.dispatch_count
+            result = FuzzerLibrary(watch).fuzz_component(
+                info, Campaign.B, FuzzConfig(max_intents_per_component=20)
+            )
+            execution = plane.execution_for(watch.clock)
+        assert result.sent == 20
+        assert watch.activity_manager.dispatch_count - dispatches >= 20
+        assert watch.clock.now_ms() < execution.next_due_ms
+        assert asked == []
+
+
 @pytest.fixture
 def seeds(monkeypatch):
     """Every ``random.Random`` seeding from here on, by its seed."""

@@ -58,13 +58,19 @@ RECORDED = {
 
 #: The DENSE run's telemetry: its full ``render_prometheus`` text, and the
 #: ``repr`` of its fault spans as (name, sorted attributes, virtual start,
-#: virtual end).  Recorded while the plane still had one fault recorder per
-#: counter family, before they were folded into one.
+#: virtual end).  The metrics digest and the digest of the newest 513 fault
+#: spans were recorded while the plane still had one fault recorder per
+#: counter family, before they were folded into one, and while every
+#: injection was a span, so the ring kept only those 513.  The digest of all
+#: 704 was recorded once the trace held one span per component.
 DENSE_METRICS_DIGEST = (
     "c5e05a53d64685fda4abe553d65c700a824020647a5d2cbfa5b0082bae340ce9"
 )
-DENSE_FAULT_SPANS_DIGEST = (
+DENSE_NEWEST_FAULT_SPANS_DIGEST = (
     "7867f81998424a4795658a23a11036b9301b3e52dab8ec23b193985386f15131"
+)
+DENSE_FAULT_SPANS_DIGEST = (
+    "7e5e4f5bbbd23c15f4ad27ee0a7e9f8b4cd9aa3650aa0cc60eab22dcf5fd2f6c"
 )
 
 
@@ -120,8 +126,9 @@ def test_dense_plan_metrics_export_matches_recorded_digest(dense_run):
 
 
 def test_dense_plan_fault_spans_match_recorded_digest(dense_run):
-    # All 513 fault spans: kind and param, in order, on the virtual clock.
+    # All 704 fault spans: kind and param, in order, on the virtual clock.
     _, t = dense_run
+    assert t.tracer.dropped == 0
     spans = [
         (
             span.name,
@@ -132,5 +139,7 @@ def test_dense_plan_fault_spans_match_recorded_digest(dense_run):
         for span in t.tracer.spans()
         if span.name == "fault"
     ]
-    assert len(spans) == 513
+    assert len(spans) == 704
     assert hashlib.sha256(repr(spans).encode()).hexdigest() == DENSE_FAULT_SPANS_DIGEST
+    newest = spans[-513:]
+    assert hashlib.sha256(repr(newest).encode()).hexdigest() == DENSE_NEWEST_FAULT_SPANS_DIGEST

@@ -16,11 +16,13 @@ from repro.android.clock import Clock
 from repro.android.runtime import RuntimeContext
 from repro.experiments.ablations import ablate_pacing
 from repro.experiments.config import QUICK, ExperimentConfig
+from repro.experiments.ui_experiment import run_ui_study
 from repro.farm import shard as farm_shard
 from repro.farm.shard import ShardSpec, build_rig, run_shard
 from repro.fleet import pair_task, plan_pairs, shared_corpus
 from repro.qgj.campaigns import Campaign
 from repro.qgj.fuzzer import FuzzConfig, FuzzerLibrary
+from repro.qgj.ui_fuzzer import QGJUi
 from repro.telemetry import session
 from repro.telemetry.exporters import render_prometheus
 
@@ -138,6 +140,24 @@ def test_ablation_row_frees_its_bed(monkeypatch, collector_off):
     monkeypatch.setattr(FuzzerLibrary, "fuzz_app", sampled_fuzz_app)
     (row,) = ablate_pacing((16_000.0,))
     assert row.crashes_seen > 0
+    assert watcher.alive() == []
+
+
+def test_ui_study_frees_its_bed(monkeypatch, collector_off):
+    watcher = _BedWatcher(monkeypatch)
+    run = QGJUi.run
+
+    def sampled_run(self, *args, **kwargs):
+        results = run(self, *args, **kwargs)
+        watcher.sample()
+        return results
+
+    monkeypatch.setattr(QGJUi, "run", sampled_run)
+    study = run_ui_study(
+        ExperimentConfig(name="tiny", fuzz=FuzzConfig(), ui_events=300, ui_seed=25)
+    )
+    assert study.semi_valid.injected_events == 300
+    assert study.boot_count == 1
     assert watcher.alive() == []
 
 

@@ -125,13 +125,11 @@ class TestUiStudy:
         assert 0 <= semi.crash_rate() < 0.005
 
     def test_emulator_never_reboots(self, study):
-        assert study.emulator.boot_count == 1
+        assert study.boot_count == 1
 
     def test_emulator_is_vendor_free(self, study):
-        assert study.emulator.is_emulator
-        assert not any(
-            p.vendor for p in study.emulator.packages.installed_packages()
-        )
+        assert study.is_emulator
+        assert study.vendor_packages == ()
 
     def test_semi_valid_exception_rate_in_band(self, study):
         # Paper: 3.6%; accept a band around it at reduced scale.

@@ -128,19 +128,7 @@ class TestValueFormatting:
         assert _render_labels({}) == ""
 
 
-class TestSamplingAndProfileSurfaces:
-    def test_summary_mentions_sampling_only_when_armed(self):
-        from repro import telemetry as telemetry_mod
-        from repro.telemetry.exporters import render_summary
-
-        with telemetry_mod.session() as t:
-            assert "sampling:" not in render_summary(t)
-        with telemetry_mod.session(sample_every=50) as t:
-            t.tracer.record_leaf("injection", {}, 0.0, 1.0, None, None)
-            text = render_summary(t)
-            assert "sampling: 1-in-50" in text
-            assert "sampled out" in text
-
+class TestProfileSurfaces:
     def test_export_snapshot_writes_collapsed_profile_only_under_profile(
         self, tmp_path
     ):

@@ -2,15 +2,14 @@
 
 Runs a focused quick-scale wear study with telemetry enabled and checks the
 acceptance surface: sane ``intents_injected_total`` and
-``anr_watchdog_latency_ms`` series, a span tree nesting campaign → package
-→ component → injection, the Prometheus/JSONL exports, and the
-``dumpsys telemetry`` shell surface.
+``anr_watchdog_latency_ms`` series, a span tree nesting study → campaign →
+package → component with no span dropped, the Prometheus/JSONL exports,
+and the ``dumpsys telemetry`` shell surface.
 """
 
 import pytest
 
 from repro import telemetry
-from repro.android.process import ProcessRecord
 from repro.experiments.config import QUICK
 from repro.experiments.wear_experiment import run_wear_study
 from repro.qgj.campaigns import Campaign
@@ -95,22 +94,18 @@ class TestStudyMetrics:
 
 
 class TestSpanTree:
-    def test_injection_spans_nest_to_the_study_root(self, instrumented_study):
+    def test_component_spans_nest_to_the_study_root(self, instrumented_study):
         rows = parse_jsonl_spans(instrumented_study["jsonl"])
         by_id = {row["span_id"]: row for row in rows}
-        injections = [row for row in rows if row["name"] == "injection"]
-        assert injections
-        chains_checked = 0
-        for injection in injections:
+        components = [row for row in rows if row["name"] == "component"]
+        assert components
+        for component in components:
             chain = []
-            cursor = injection
-            while cursor["parent_id"] is not None and cursor["parent_id"] in by_id:
+            cursor = component
+            while cursor["parent_id"] is not None:
                 cursor = by_id[cursor["parent_id"]]
                 chain.append(cursor["name"])
-            if len(chain) == 4:  # full ancestry retained in the ring
-                assert chain == ["component", "package", "campaign", "study"]
-                chains_checked += 1
-        assert chains_checked > 0
+            assert chain == ["package", "campaign", "study"]
 
     def test_spans_carry_both_clocks(self, instrumented_study):
         rows = parse_jsonl_spans(instrumented_study["jsonl"])
@@ -122,8 +117,9 @@ class TestSpanTree:
     def test_span_buffer_bounded(self, instrumented_study):
         t = instrumented_study["t"]
         assert len(t.tracer) <= 8192
-        # A focused study still makes tens of thousands of injection spans.
-        assert t.tracer.dropped > 0
+        # One span per component: the whole study fits the ring.
+        assert t.tracer.dropped == 0
+        assert not any(span.name == "injection" for span in t.tracer.spans())
 
 
 class TestExpositionSurfaces:
@@ -219,31 +215,13 @@ class TestZeroOverheadDiscipline:
         plain = run()
         assert plain[0].sent == 141
         assert run(explicit_intents=True) == plain
-        for session in ({}, {"sample_every": 7}, {"profile": True}):
+        for session in ({}, {"profile": True}):
             with telemetry.session(**session):
                 assert run() == plain, session
                 assert run(explicit_intents=True) == plain, session
 
 
 class TestOtherPlanes:
-    def test_binder_transactions_counted(self):
-        from repro.android.binder import IBinder
-        from repro.android.clock import Clock
-        from repro.android.jtypes import DeadObjectException
-
-        clock = Clock()
-        proc = ProcessRecord("svc", "com.svc", clock)
-        binder = IBinder("com.svc.IService", proc)
-        binder.register("ping", lambda: "pong")
-        with telemetry.session() as t:
-            assert binder.transact("ping") == "pong"
-            proc.kill("test")
-            with pytest.raises(DeadObjectException):
-                binder.transact("ping")
-            counter = t.metrics.get("binder_transactions_total")
-            assert counter.total_where(outcome="ok") == 1
-            assert counter.total_where(outcome="dead_object") == 1
-
     def test_ui_fuzzer_and_monkey_counters(self):
         from repro.apps.catalog import build_wear_corpus
 
